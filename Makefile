@@ -38,12 +38,16 @@ nocvet:
 # Race-detect the concurrent pieces: the simulator core (one network per
 # goroutine), the parallel experiment engine, and the localization layer.
 # The -count=2 passes re-run without the test cache so schedule-dependent
-# interleavings get a second roll of the dice on every invocation.
+# interleavings get a second roll of the dice on every invocation. The
+# full-registry parallel-vs-serial and golden checks skip under -race (too
+# slow there), so they run five times without it: a shared-state race shows
+# up as a byte diff even when the detector is not compiled in.
 race:
 	$(GO) test -race ./internal/noc ./internal/exp
 	$(GO) test -race -count=2 ./internal/locate
 	$(GO) test -race -count=2 -run TestRunAll ./internal/exp
 	$(GO) test -race -run 'TestWorkerCountInvariance|TestKillResume' ./internal/campaign
+	$(GO) test -count=5 -run 'TestRunAllParallelMatchesSerial|TestGoldenExperimentsAllByteIdentical' ./internal/exp
 
 # Fuzz the header Encode/Decode round-trip across randomized layouts.
 fuzz:

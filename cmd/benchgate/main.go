@@ -112,7 +112,9 @@ func latestBaseline(dir string) (string, map[string]map[string]float64, error) {
 	}
 	idx := make(map[string]map[string]float64, len(bf.Benchmarks))
 	for _, b := range bf.Benchmarks {
-		idx[b.Name] = b.Metrics
+		// A baseline recorded with GOMAXPROCS > 1 keeps the testing
+		// package's -<procs> suffix; index it as the gate names its runs.
+		idx[stripProcs(b.Name)] = b.Metrics
 	}
 	return filepath.Base(path), idx, nil
 }

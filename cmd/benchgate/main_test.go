@@ -128,3 +128,32 @@ func TestLatestBaselineMissingDir(t *testing.T) {
 		t.Fatalf("empty dir should yield no baseline and no error: %q %v %v", name, baseline, err)
 	}
 }
+
+// TestBaselineFromMultiCPUHostMatches: `make bench-json` on a host with
+// GOMAXPROCS > 1 records names with the -<procs> suffix
+// ("BenchmarkNetworkStep/uniform-2"); the gate must still find them.
+func TestBaselineFromMultiCPUHostMatches(t *testing.T) {
+	dir := t.TempDir()
+	latest := `{"benchmarks":[
+		{"name":"BenchmarkNetworkStep/uniform-2","metrics":{"ns/op":9300,"allocs/op":0}},
+		{"name":"BenchmarkNetworkStep/uniform-8x8-2","metrics":{"ns/op":1000,"allocs/op":0}}]}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_2026-10-17.json"), []byte(latest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	baseName, baseline, err := latestBaseline(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := "BenchmarkNetworkStep/uniform-8  \t 100\t 9300 ns/op\t 0 B/op\t 0 allocs/op\n" +
+		"BenchmarkNetworkStep/uniform-8x8-8  \t 100\t 1100 ns/op\t 0 B/op\t 0 allocs/op\n"
+	benches, err := parseBenchOutput(strings.NewReader(run))
+	if err != nil || len(benches) != 2 {
+		t.Fatalf("parsed %d benches, err=%v", len(benches), err)
+	}
+	var buf strings.Builder
+	gate(&buf, benches, baseName, baseline)
+	out := buf.String()
+	if strings.Contains(out, "no baseline") || !strings.Contains(out, "+0.0%") || !strings.Contains(out, "+10.0%") {
+		t.Errorf("suffixed baseline names not matched:\n%s", out)
+	}
+}

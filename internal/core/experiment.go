@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"tasp/internal/detect"
+	"tasp/internal/lob"
 	"tasp/internal/locate"
 	"tasp/internal/noc"
 	"tasp/internal/qos"
@@ -120,6 +121,11 @@ type ExperimentConfig struct {
 	// DetectorHistory overrides the threat detector's fault-history table
 	// capacity (0 = detect.DefaultHistoryCap). Ablation knob.
 	DetectorHistory int
+
+	// EscalationOrder overrides the L-Ob method sequence the secure wires
+	// escalate through (nil = lob.DefaultEscalationOrder). Ablation knob;
+	// carried per run, so concurrent runs never share it.
+	EscalationOrder []lob.Choice
 
 	// Locate enables the network-level DoS localization layer: the
 	// blocked-port telemetry tap is sampled every SampleEvery cycles and

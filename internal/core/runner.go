@@ -457,6 +457,7 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 		w := a.wires[l.ID]
 		w.Reset(tap, cfg.Seed^0x10b^uint64(l.ID))
 		w.Mitigated = mitigated
+		w.EscalationOrder = cfg.EscalationOrder
 		if w.Detector.Cap() != wantCap {
 			w.Detector = detect.New(wantCap)
 		}

@@ -38,6 +38,10 @@ type SecureWire struct {
 	// behaves exactly like a PlainWire (used for the paper's
 	// no-mitigation runs in Figure 11).
 	Mitigated bool
+	// EscalationOrder is the L-Ob method sequence walked from the third
+	// attempt on (nil = lob.DefaultEscalationOrder). Per wire, so runs
+	// with different orders can share a process.
+	EscalationOrder []lob.Choice
 
 	layout  flit.Layout
 	windows *lob.Windows
@@ -95,6 +99,7 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 	w.Detector.Reset()
 	w.Log.Reset()
 	w.Mitigated = true
+	w.EscalationOrder = nil
 	w.key.Reseed(keySeed)
 	clear(w.flows)
 	w.Corrected, w.Dropped, w.Swallowed, w.Obfuscated = 0, 0, 0, 0
@@ -104,8 +109,8 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 // flowOf resolves the flow a flit belongs to, latching it from head flits.
 func (w *SecureWire) flowOf(f flit.Flit, vc uint8) lob.FlowKey {
 	if f.IsHead() {
-		h := f.Header(w.layout)
-		k := lob.FlowKey{SrcR: h.SrcR, DstR: h.DstR, VC: h.VC}
+		l := &w.layout
+		k := lob.FlowKey{SrcR: l.SrcOf(f.Payload), DstR: l.DstOf(f.Payload), VC: l.VCOf(f.Payload)}
 		if !f.IsTail() {
 			w.flows[f.PacketID] = k
 		}
@@ -134,12 +139,18 @@ func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {
 	case attempt == 1:
 		return lob.Choice{Method: lob.None}
 	default:
-		return lob.Escalate(attempt - 2)
+		return lob.Escalate(w.EscalationOrder, attempt-2)
 	}
 }
 
 // Transmit implements noc.Wire.
 func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) (flit.Flit, noc.TxResult) {
+	if w.Tap == fault.None && !w.Mitigated {
+		// Healthy unprotected link: no obfuscation, nothing in flight to
+		// corrupt, so the SECDED round trip is the identity and the flow
+		// latch is never read (only the mitigation path consults it).
+		return f, noc.TxResult{OK: true}
+	}
 	flow := w.flowOf(f, vc)
 	choice := w.choose(flow, attempt)
 

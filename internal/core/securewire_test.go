@@ -4,10 +4,13 @@ import (
 	"testing"
 
 	"tasp/internal/detect"
+	"tasp/internal/ecc"
 	"tasp/internal/fault"
 	"tasp/internal/flit"
 	"tasp/internal/lob"
+	"tasp/internal/noc"
 	"tasp/internal/tasp"
+	"tasp/internal/xrand"
 )
 
 func targetFlit(dst uint8) flit.Flit {
@@ -183,5 +186,64 @@ func TestSecureWireForgetsFailedMethod(t *testing.T) {
 	}
 	if _, ok := w.Log.Lookup(flow); ok {
 		t.Fatal("failed method not forgotten")
+	}
+}
+
+// TestHealthyWireFastPathEquivalence pins the healthy-link fast path: a
+// PlainWire, or an unmitigated SecureWire, whose tap is fault.None returns
+// its flit without the SECDED encode→decode round trip. For random
+// payloads, flit framings and attempt counts that must be
+// indistinguishable from the full path, which an identity tap that is not
+// fault.None forces. Mitigated SecureWires always take the full path; they
+// are compared too, so a future fast path there is held to the same bar.
+func TestHealthyWireFastPathEquivalence(t *testing.T) {
+	identity := fault.InjectorFunc(func(_ uint64, w ecc.Codeword, _ fault.Framing) ecc.Codeword { return w })
+	rng := xrand.New(5)
+	kinds := []flit.Type{flit.Head, flit.Body, flit.Tail, flit.Single}
+
+	fast, full := noc.NewPlainWire(), &noc.PlainWire{Tap: identity}
+	type secure struct{ fast, full *SecureWire }
+	var secures []secure
+	for _, mitigated := range []bool{false, true} {
+		secures = append(secures, secure{
+			fast: NewSecureWire(fault.None, 3, flit.Default).WithMitigation(mitigated),
+			full: NewSecureWire(identity, 3, flit.Default).WithMitigation(mitigated),
+		})
+	}
+	for i := 0; i < 5000; i++ {
+		f := flit.Flit{
+			Kind:     kinds[rng.Intn(len(kinds))],
+			Payload:  rng.Uint64(),
+			PacketID: uint64(rng.Intn(8)),
+			Index:    uint8(rng.Intn(5)),
+			InjectAt: uint64(i),
+		}
+		cycle, vc, attempt := uint64(i), uint8(rng.Intn(4)), rng.Intn(7)
+
+		gf, gr := fast.Transmit(cycle, f, vc, attempt)
+		wf, wr := full.Transmit(cycle, f, vc, attempt)
+		if gf != wf || gr != wr {
+			t.Fatalf("plain wire, step %d (%v attempt %d): fast path %+v %+v, full path %+v %+v", i, f.Kind, attempt, gf, gr, wf, wr)
+		}
+		if fast.Corrected != full.Corrected || fast.Dropped != full.Dropped || fast.Swallowed != full.Swallowed {
+			t.Fatalf("plain wire, step %d: counters diverged: fast %+v, full %+v", i, *fast, *full)
+		}
+		for _, s := range secures {
+			gf, gr := s.fast.Transmit(cycle, f, vc, attempt)
+			wf, wr := s.full.Transmit(cycle, f, vc, attempt)
+			if gf != wf || gr != wr {
+				t.Fatalf("secure wire (mitigated %v), step %d (%v attempt %d): fast path %+v %+v, full path %+v %+v",
+					s.fast.Mitigated, i, f.Kind, attempt, gf, gr, wf, wr)
+			}
+			a, b := s.fast, s.full
+			if a.Corrected != b.Corrected || a.Dropped != b.Dropped || a.Swallowed != b.Swallowed ||
+				a.Obfuscated != b.Obfuscated || a.BISTScans != b.BISTScans || a.StallCycles != b.StallCycles ||
+				a.Log.Len() != b.Log.Len() || a.Detector.Classification() != b.Detector.Classification() {
+				t.Fatalf("secure wire (mitigated %v), step %d: counters or L-Ob state diverged", a.Mitigated, i)
+			}
+		}
+	}
+	if secures[1].fast.Obfuscated == 0 {
+		t.Fatal("the mitigated wires never obfuscated: escalation was not exercised")
 	}
 }

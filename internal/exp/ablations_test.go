@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -267,4 +269,71 @@ func TestSaturationCurve(t *testing.T) {
 		}
 		prev = d
 	}
+}
+
+// TestEscalationOrderAblationConcurrentWithFig10 runs the escalation-order
+// ablation over and over while fig10 — whose s2s-lob points walk the
+// escalation order on every NACKed flit — runs on another goroutine. The
+// ablation must carry its order in its run config: an order swapped in
+// shared state would reach fig10's wires and move its rows off the golden
+// file. Under -race any shared write between the two is reported; with or
+// without it, fig10 must match the golden file and every ablation pass its
+// serial rendering.
+func TestEscalationOrderAblationConcurrentWithFig10(t *testing.T) {
+	fig10, ok := Lookup(Registry("blackscholes"), "fig10")
+	if !ok {
+		t.Fatal("registry is missing fig10")
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "experiments-all-mesh.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := AblationEscalationOrder(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serial.Render()
+
+	var got string
+	done := make(chan error)
+	go func() {
+		var err error
+		got, err = RenderAll(RunAll([]Experiment{fig10}, 1, 1))
+		done <- err
+	}()
+	for passes := 1; ; passes++ {
+		tb, err := AblationEscalationOrder(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.Render() != want {
+			t.Fatalf("ablation pass %d beside fig10 diverged from its serial run:\n got: %q\nwant: %q", passes, tb.Render(), want)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := section(got, "fig10"), section(string(golden), "fig10"); got != want {
+				t.Fatalf("fig10 run beside %d ablation passes diverged from the golden file:\n got: %q\nwant: %q", passes, got, want)
+			}
+			return
+		default:
+		}
+	}
+}
+
+// section returns the body of one "==== id ====" block of rendered output
+// (up to the next banner or the end).
+func section(rendered, id string) string {
+	banner := "==== " + id + " ====\n"
+	i := strings.Index(rendered, banner)
+	if i < 0 {
+		return ""
+	}
+	body := rendered[i+len(banner):]
+	if j := strings.Index(body, "==== "); j >= 0 {
+		body = body[:j]
+	}
+	return body
 }

@@ -77,8 +77,21 @@ func (f InjectorFunc) Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Code
 	return f(cycle, w, fr), Forward
 }
 
-// None is the identity adversary used on healthy links.
-var None = InjectorFunc(func(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w })
+// identity is the fault source of a healthy link.
+type identity struct{}
+
+// Inspect implements Injector: the word passes untouched.
+func (identity) Inspect(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w }
+
+// Strike implements Adversary: the word is forwarded untouched.
+func (identity) Strike(_ uint64, w ecc.Codeword, _ Framing) (ecc.Codeword, Outcome) {
+	return w, Forward
+}
+
+// None is the identity adversary used on healthy links. It is a comparable
+// zero-size value, so a wire can test Tap == None and skip the
+// encode→decode round trip it would otherwise perform for nothing.
+var None = identity{}
 
 // Transient flips each wire independently with a (very small) per-traversal
 // probability, modelling single-event upsets. With realistic rates almost

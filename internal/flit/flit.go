@@ -255,6 +255,20 @@ func (l Layout) Decode(w uint64) Header {
 	}
 }
 
+// Single-field decoders: the router pipeline reads one header field per
+// stage (RC and VA the destination, injection the VC, the L-Ob flow latch
+// source/destination/VC), so it extracts just that field instead of paying
+// for a full Decode. Each agrees with the corresponding Decode field.
+
+// VCOf returns the VC field of a head-flit payload.
+func (l *Layout) VCOf(w uint64) uint8 { return uint8((w >> l.VCShift) & mask(l.VCBits)) }
+
+// SrcOf returns the source-router field of a head-flit payload.
+func (l *Layout) SrcOf(w uint64) uint8 { return uint8((w >> l.SrcShift) & mask(l.SrcBits)) }
+
+// DstOf returns the destination-router field of a head-flit payload.
+func (l *Layout) DstOf(w uint64) uint8 { return uint8((w >> l.DstShift) & mask(l.DstBits)) }
+
 // Flit is one 64-bit unit of a packet inside a router, before link encoding.
 type Flit struct {
 	Kind    Type

@@ -108,10 +108,12 @@ type Choice struct {
 // String renders the choice.
 func (c Choice) String() string { return c.Method.String() + "/" + c.Gran.String() }
 
-// EscalationOrder is the default sequence the threat detector walks through
+// escalationOrder is the default sequence the threat detector walks through
 // on consecutive failed retransmissions: whole-flit methods first (maximum
-// coverage), then narrowed granularities that localise the trigger.
-var EscalationOrder = []Choice{
+// coverage), then narrowed granularities that localise the trigger. It is
+// never written: concurrent simulations all read it, so a run that wants
+// another order passes its own (Escalate's order argument) instead.
+var escalationOrder = []Choice{
 	{Scramble, WholeFlit},
 	{Invert, WholeFlit},
 	{Shuffle, WholeFlit},
@@ -317,12 +319,22 @@ func (l *MethodLog) Reset() {
 // trigger turned out to alias the obfuscated form too).
 func (l *MethodLog) Forget(k FlowKey) { delete(l.known, k) }
 
-// Escalate returns the n-th choice to try for a flit that has failed n
-// plain transmissions (n starts at 0). Past the end of the order it cycles
-// with the keystream-based scramble, which re-randomises every attempt.
-func Escalate(n int) Choice {
-	if n < len(EscalationOrder) {
-		return EscalationOrder[n]
+// DefaultEscalationOrder returns a copy of the default escalation order,
+// for callers that want to derive their own.
+func DefaultEscalationOrder() []Choice {
+	return append([]Choice(nil), escalationOrder...)
+}
+
+// Escalate returns the n-th choice of order to try for a flit that has
+// failed n plain transmissions (n starts at 0); a nil order selects the
+// default. Past the end of the order it cycles with the keystream-based
+// scramble, which re-randomises every attempt.
+func Escalate(order []Choice, n int) Choice {
+	if order == nil {
+		order = escalationOrder
+	}
+	if n < len(order) {
+		return order[n]
 	}
 	return Choice{Scramble, WholeFlit}
 }

@@ -49,9 +49,9 @@ func (n *Network) CheckInvariants() error {
 			if op.disabled {
 				continue
 			}
-			if len(op.entries) > retransCap(n.cfg) {
+			if len(op.entries) > retransCap(&n.cfg) {
 				return fmt.Errorf("r%d %s: retrans holds %d > cap %d",
-					r.id, PortName(p), len(op.entries), retransCap(n.cfg))
+					r.id, PortName(p), len(op.entries), retransCap(&n.cfg))
 			}
 			for _, e := range op.entries {
 				if int(e.vc) >= n.cfg.VCs {

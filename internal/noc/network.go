@@ -458,17 +458,17 @@ func (n *Network) Step() {
 	s := n.sched
 	for wi, w := range s.actIn.w {
 		for ; w != 0; w &= w - 1 {
-			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseSAST(n.cfg, n.cycle)
+			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseSAST(&n.cfg, n.cycle)
 		}
 	}
 	for wi, w := range s.actIn.w {
 		for ; w != 0; w &= w - 1 {
-			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseVA(n.cfg, n.layout)
+			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseVA(&n.layout)
 		}
 	}
 	for wi, w := range s.actIn.w {
 		for ; w != 0; w &= w - 1 {
-			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseRC(n.route, n.layout, n.cycle, &n.Counters)
+			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseRC(n.route, &n.layout, n.cycle, &n.Counters)
 		}
 	}
 	for wi := range s.actOut.w {
@@ -624,9 +624,9 @@ func (n *Network) phaseLT(op *outputPort) {
 	} else {
 		// The credit for this slot was already reserved at switch
 		// allocation; deposit without touching the counter.
-		l := n.links[op.linkID]
+		l := &n.links[op.linkID]
 		if delivered.IsHead() && n.routePristine &&
-			n.route(l.From, int(delivered.Header(n.layout).DstR)) != l.FromPort {
+			n.route(l.From, int(n.layout.DstOf(delivered.Payload))) != l.FromPort {
 			// Route conformance: under the topology's deterministic default
 			// table the sending router would never have granted this output
 			// for the destination the header now carries — the signature of

@@ -144,7 +144,7 @@ func (ni *NI) inject(r *Router, cycle uint64) bool {
 			continue
 		}
 		f := ni.queues[core][ni.heads[core]]
-		v := int(f.Header(ni.layout).VC)
+		v := int(ni.layout.VCOf(f.Payload))
 		if !f.IsHead() {
 			// Body/tail flits ride the VC their head locked.
 			v = ni.lockedVC(core)

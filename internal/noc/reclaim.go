@@ -137,12 +137,14 @@ func (n *Network) purgePacket(pkt uint64) int {
 					continue
 				}
 				frontWasPkt := ivc.front().f.PacketID == pkt
-				// FIFO surgery: drop the packet's flits, keep everyone else's.
+				// FIFO surgery: drop the packet's flits, keep everyone else's,
+				// compacting within the live region buf[head:] so a VC the
+				// packet never entered is left exactly as it was.
 				rest := ivc.buf[ivc.head:]
 				w := 0
 				for i := range rest {
 					if rest[i].f.PacketID != pkt {
-						ivc.buf[w] = rest[i]
+						rest[w] = rest[i]
 						w++
 					}
 				}
@@ -150,8 +152,10 @@ func (n *Network) purgePacket(pkt uint64) int {
 				if removed == 0 {
 					continue
 				}
-				ivc.buf = ivc.buf[:w]
-				ivc.head = 0
+				ivc.buf = ivc.buf[:ivc.head+w]
+				if ivc.empty() {
+					ivc.buf, ivc.head = ivc.buf[:0], 0
+				}
 				r.loseIn(removed)
 				dropped += removed
 				if up := r.ups[p]; up != nil {

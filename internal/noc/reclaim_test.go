@@ -144,3 +144,59 @@ func TestDisableLinkReclaimPurgesCutWormholes(t *testing.T) {
 		t.Fatalf("after drain: %v", err)
 	}
 }
+
+// TestPurgePacketSparesBystanderVC: purging a packet must leave every VC it
+// never entered exactly as it was, including one whose live region starts
+// past index 0 (head > 0). The FIFO surgery must compact within buf[head:];
+// compacting into buf[0:] would hide such a VC's front flit below head and
+// duplicate its last one, leaving a stale VA request on a body flit.
+func TestPurgePacketSparesBystanderVC(t *testing.T) {
+	n := mkNet(t)
+	var (
+		ivc *inputVC
+		r   *Router
+	)
+	// Stream multi-flit packets until some input VC has popped from its
+	// front (head > 0) and still holds more flits than head: there, the
+	// old compaction into buf[0:] overwrote the live region itself.
+	for c := 0; c < 400 && ivc == nil; c++ {
+		for core := 0; core < 16; core += 3 {
+			n.Inject(core, pkt(15-core%16, 0, uint8(core%4), 4))
+		}
+		n.Step()
+		for _, rr := range n.routers {
+			for p := range rr.inputs {
+				for v := range rr.inputs[p] {
+					if cand := &rr.inputs[p][v]; cand.head > 0 && cand.size() > cand.head {
+						ivc, r = cand, rr
+					}
+				}
+			}
+		}
+	}
+	if ivc == nil {
+		t.Fatal("no input VC with 0 < head < size: the bystander case was not exercised")
+	}
+	want := append([]bufFlit(nil), ivc.buf[ivc.head:]...)
+	before := *ivc
+	absent := n.nextPacketID + 1000 // a packet no buffer holds
+	if dropped := n.purgePacket(absent); dropped != 0 {
+		t.Fatalf("purging an absent packet dropped %d flits", dropped)
+	}
+	got := ivc.buf[ivc.head:]
+	if len(got) != len(want) {
+		t.Fatalf("r%d bystander VC holds %d flits after the purge, want %d", r.id, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("r%d bystander VC flit %d changed: got %+v, want %+v", r.id, i, got[i], want[i])
+		}
+	}
+	if ivc.routed != before.routed || ivc.route != before.route ||
+		ivc.allocated != before.allocated || ivc.outVC != before.outVC {
+		t.Fatalf("r%d bystander VC wormhole state changed", r.id)
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("after purge: %v", err)
+	}
+}

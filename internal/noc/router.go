@@ -139,7 +139,7 @@ func (op *outputPort) full(depth int) bool { return len(op.entries) >= depth }
 // the given VC under the configured scheme: one shared post-crossbar buffer
 // (default, the paper's worst case), half-split (TDM non-interference), or
 // per-VC buffers (Figure 5's second scheme).
-func (op *outputPort) hasSpace(cfg Config, vc int) bool {
+func (op *outputPort) hasSpace(cfg *Config, vc int) bool {
 	switch {
 	case cfg.RetransPerVC:
 		used := 0
@@ -168,7 +168,7 @@ func (op *outputPort) hasSpace(cfg Config, vc int) bool {
 }
 
 // retransCap returns the total entries an output port may hold.
-func retransCap(cfg Config) int {
+func retransCap(cfg *Config) int {
 	if cfg.RetransPerVC {
 		return cfg.RetransDepth * cfg.VCs
 	}
@@ -243,7 +243,7 @@ func newRouter(id int, cfg Config, ports int) *Router {
 		op.router = id
 		op.port = p
 		op.linkID = -1
-		op.entries = make([]retransEntry, 0, retransCap(cfg))
+		op.entries = make([]retransEntry, 0, retransCap(&cfg))
 		op.vcOwner = make([]uint64, cfg.VCs)
 		op.credits = make([]int, cfg.VCs)
 		for v := range op.credits {
@@ -325,7 +325,7 @@ func (r *Router) hasWorkFor(port int) bool {
 // disabling or in-flight head swallowing: heads whose computed route now
 // points at a dead port are re-routed, and orphaned body/tail flits of
 // truncated packets are dropped.
-func (r *Router) phaseRC(route RouteFunc, l flit.Layout, cycle uint64, cnt *Counters) {
+func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Counters) {
 	// Walk only the occupied input VCs, in the same ascending (port, vc)
 	// order as the full sweep (bit index == p*vcs+v is monotone in it).
 	for m := r.occ; m != 0; m &= m - 1 {
@@ -358,7 +358,7 @@ func (r *Router) phaseRC(route RouteFunc, l flit.Layout, cycle uint64, cnt *Coun
 				r.unrouteInput(ivc.route, uint(idx))
 			}
 			if f.f.IsHead() && !ivc.routed {
-				ivc.route = route(r.id, int(f.f.Header(l).DstR))
+				ivc.route = route(r.id, int(l.DstOf(f.f.Payload)))
 				ivc.routed = true
 				r.routeInput(ivc.route, uint(idx))
 			}
@@ -377,24 +377,27 @@ func (r *Router) phaseRC(route RouteFunc, l flit.Layout, cycle uint64, cnt *Coun
 // wraparound topologies the packet's lane is remapped into the VC class the
 // dateline scheme demands (outVCFor). Round-robin across input ports
 // resolves contention.
-func (r *Router) phaseVA(cfg Config, l flit.Layout) {
+func (r *Router) phaseVA(l *flit.Layout) {
+	n := r.numPorts * r.vcs
 	for o := 0; o < r.numPorts; o++ {
-		op := r.outputs[o]
-		n := r.numPorts * cfg.VCs
 		// Round-robin over the VCs requesting this output — routed,
 		// unallocated heads bound for o — scanning from vaPtr up, then
 		// wrapping to the bits below it: bit order equals the (vaPtr+k)%n
 		// probe order of a full sweep over the VCs that could be granted.
 		req := r.reqVA & r.routedTo[o]
+		if req == 0 {
+			continue
+		}
+		op := r.outputs[o]
 		ptr := op.vaPtr % n
 		m, base := req>>uint(ptr), ptr
 		for pass := 0; pass < 2; pass, m, base = pass+1, req&(uint64(1)<<uint(ptr)-1), 0 {
 			for ; m != 0; m &= m - 1 {
 				idx := base + bits.TrailingZeros64(m)
-				p, v := idx/cfg.VCs, idx%cfg.VCs
+				p, v := idx/r.vcs, idx%r.vcs
 				ivc := &r.inputs[p][v]
 				f := ivc.front()
-				ov := op.outVCFor(cfg, v, int(f.f.Header(l).DstR))
+				ov := op.outVCFor(r.vcs, v, int(l.DstOf(f.f.Payload)))
 				if op.vcOwner[ov] != 0 {
 					continue // downstream VC held by another packet
 				}
@@ -414,11 +417,11 @@ func (r *Router) phaseVA(cfg Config, l flit.Layout) {
 // occupy: the identity except on links with a dateline VC-class table,
 // where the packet keeps its lane within a class half but moves between
 // halves as the class changes.
-func (op *outputPort) outVCFor(cfg Config, v, dst int) int {
+func (op *outputPort) outVCFor(vcs, v, dst int) int {
 	if op.vcClass == nil {
 		return v
 	}
-	half := cfg.VCs / 2
+	half := vcs / 2
 	return v%half + int(op.vcClass[dst])*half
 }
 
@@ -426,33 +429,36 @@ func (op *outputPort) outVCFor(cfg Config, v, dst int) int {
 // flit per output port (and at most one per input port) moves through the
 // crossbar into the output retransmission buffer. Freed input slots return
 // a credit upstream.
-func (r *Router) phaseSAST(cfg Config, cycle uint64) {
+func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 	var inputUsed [MaxPorts]bool
+	n := r.numPorts * r.vcs
+	depth := retransCap(cfg)
 	for o := 0; o < r.numPorts; o++ {
-		op := r.outputs[o]
-		if op.full(retransCap(cfg)) || op.disabled {
-			continue
-		}
-		n := r.numPorts * cfg.VCs
 		// Round-robin over the occupied input VCs routed to this output
 		// (same two-segment mask walk as phaseVA); grants from earlier
-		// output ports have already cleared the bits of drained VCs.
-		req := r.routedTo[o] & r.occ
+		// output ports have already cleared the bits of drained VCs. A
+		// routed head still waiting for VA cannot win, and reqVA holds
+		// exactly those VCs (invariant #6 of CheckInvariants), so they are
+		// masked out rather than probed.
+		req := r.routedTo[o] & r.occ &^ r.reqVA
+		if req == 0 {
+			continue
+		}
+		op := r.outputs[o]
+		if op.full(depth) || op.disabled {
+			continue
+		}
 		ptr := op.saPtr % n
 		m, base := req>>uint(ptr), ptr
 		for pass := 0; pass < 2; pass, m, base = pass+1, req&(uint64(1)<<uint(ptr)-1), 0 {
 			for ; m != 0; m &= m - 1 {
 				idx := base + bits.TrailingZeros64(m)
-				p, v := idx/cfg.VCs, idx%cfg.VCs
+				p, v := idx/r.vcs, idx%r.vcs
 				if inputUsed[p] {
 					continue
 				}
 				ivc := &r.inputs[p][v]
-				f := ivc.front()
-				if f.readyAt > cycle {
-					continue
-				}
-				if f.f.IsHead() && !ivc.allocated {
+				if ivc.front().readyAt > cycle {
 					continue
 				}
 				// Downstream-facing state (credits, retransmission slots,

@@ -5,6 +5,8 @@ import (
 
 	"tasp/internal/flit"
 	"tasp/internal/noc"
+	"tasp/internal/tasp"
+	"tasp/internal/xrand"
 )
 
 func net(t *testing.T) *noc.Network {
@@ -349,5 +351,111 @@ func TestApplySafeMidRunReclaims(t *testing.T) {
 	occ := n.Occupancy()
 	if occ.InputFlits != 0 {
 		t.Fatalf("%d flits still buffered after drain: truncated wormholes wedged", occ.InputFlits)
+	}
+}
+
+// TestApplySafeMidRunUnderTrojanSoak is the recovery-path soak: on every
+// topology, drop and throttled-drop trojans strike the victim's ingress
+// links under random multi-flit traffic, ApplySafe cuts those links mid-run
+// (purging the wormholes strung across them and the betailed ones the
+// trojans left behind), and the full invariant audit runs every cycle
+// before and after the reconfiguration. Purging one packet must never
+// disturb another packet's buffered flits — a bystander VC whose live
+// region no longer starts at index 0 included.
+func TestApplySafeMidRunUnderTrojanSoak(t *testing.T) {
+	topos := []struct {
+		name string
+		mut  func(*noc.Config)
+	}{
+		{"mesh", func(c *noc.Config) {}},
+		{"torus", func(c *noc.Config) { c.Topo = "torus" }},
+		{"ring", func(c *noc.Config) { c.Topo = "ring"; c.Width, c.Height = 8, 1 }},
+	}
+	const cycles, cutAt = 1500, 700
+	for _, tc := range topos {
+		for _, kind := range []tasp.Kind{tasp.KindDrop, tasp.KindThrottle} {
+			t.Run(tc.name+"/"+kind.String(), func(t *testing.T) {
+				cfg := noc.DefaultConfig()
+				tc.mut(&cfg)
+				n, err := noc.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				victim := tasp.ForDest(0)
+				infected := map[int]bool{}
+				var trojans []tasp.Trojan
+				// One ingress link of the victim and one of its neighbour
+				// upstream: the fabric stays connected once both are cut.
+				ingress := func(to, notFrom int) int {
+					for _, l := range n.LinkSlice() {
+						if l.To == to && l.From != notFrom {
+							return l.ID
+						}
+					}
+					t.Fatalf("no link into router %d", to)
+					return -1
+				}
+				for _, id := range []int{ingress(0, -1), ingress(1, 0)} {
+					var tr tasp.Trojan = tasp.NewDropper(victim, n.Layout())
+					if kind == tasp.KindThrottle {
+						tr = tasp.NewThrottledDropper(victim, n.Layout(), 50, 20)
+					}
+					tr.SetKillSwitch(true)
+					w := noc.NewPlainWire()
+					w.Tap = tr
+					n.SetWire(id, w)
+					infected[id] = true
+					trojans = append(trojans, tr)
+				}
+				rng := xrand.New(31)
+				routers, cores := cfg.Routers(), cfg.Cores()
+				for c := 0; c < cycles; c++ {
+					for core := 0; core < cores; core++ {
+						if !rng.Bool(0.04) {
+							continue
+						}
+						dst := rng.Intn(routers)
+						if dst == cfg.CoreRouter(core) {
+							continue
+						}
+						n.Inject(core, &flit.Packet{
+							Hdr:  flit.Header{VC: uint8(rng.Intn(cfg.VCs)), DstR: uint8(dst), Mem: uint32(rng.Uint64())},
+							Body: make([]uint64, rng.Intn(5)),
+						})
+					}
+					if c == cutAt {
+						if _, err := ApplySafe(n, infected); err != nil {
+							t.Fatal(err)
+						}
+						if err := n.CheckInvariants(); err != nil {
+							t.Fatalf("right after ApplySafe: %v", err)
+						}
+					}
+					n.Step()
+					if err := n.CheckInvariants(); err != nil {
+						t.Fatalf("cycle %d: %v", c, err)
+					}
+				}
+				struck := uint64(0)
+				for _, tr := range trojans {
+					_, s := tr.Stats()
+					struck += s
+				}
+				if struck == 0 {
+					t.Fatal("soak never exercised a trojan strike")
+				}
+				if n.Counters.DroppedReconfig == 0 {
+					t.Fatal("the mid-run cut reclaimed nothing: recovery was not exercised")
+				}
+				before := n.Counters.DeliveredPackets
+				n.Run(3000)
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("after drain: %v", err)
+				}
+				if n.Counters.DeliveredPackets == before && n.Occupancy().InputFlits > 0 {
+					t.Fatal("network wedged after recovery")
+				}
+			})
+		}
 	}
 }

@@ -309,10 +309,9 @@ func (g *Generator) Packet(core int) *flit.Packet {
 // order is exactly Tick's, so a generator driven by TickInto from a given
 // seed produces the same traffic as one driven by Tick.
 func (g *Generator) TickInto(scratch *flit.Packet, inject func(core int, p *flit.Packet) bool) {
-	cfg := g.m.cfg
-	for core := 0; core < cfg.Cores(); core++ {
-		r := cfg.CoreRouter(core)
-		if !g.rng.Bool(g.m.Rate * g.m.Intensity[r]) {
+	conc := g.m.cfg.Concentration
+	for core := range g.seq { // one sequence counter per core
+		if !g.rng.Bool(g.m.Rate * g.m.Intensity[core/conc]) {
 			continue
 		}
 		g.PacketInto(core, scratch)
@@ -326,9 +325,8 @@ func (g *Generator) TickInto(scratch *flit.Packet, inject func(core int, p *flit
 // address, data coin, body words) replicates Packet exactly, so the two are
 // interchangeable without perturbing a seeded run.
 func (g *Generator) PacketInto(core int, p *flit.Packet) {
-	cfg := g.m.cfg
-	src := cfg.CoreRouter(core)
-	dst := g.sampleDst(src)
+	cfg := &g.m.cfg
+	dst := g.sampleDst(core / cfg.Concentration)
 	g.seq[core]++
 	vc := uint8(g.rng.Intn(cfg.VCs))
 	dstC := uint8(g.rng.Intn(cfg.Concentration))
