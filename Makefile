@@ -3,7 +3,7 @@
 GO ?= go
 DATE ?= $(shell date +%F)
 
-.PHONY: all build vet test lint nocvet race fuzz golden golden-check bench bench-json bench-gate experiments examples cover clean
+.PHONY: all build vet test lint nocvet race fuzz golden golden-check campaign-check bench bench-json bench-gate experiments examples cover clean
 
 all: build vet test
 
@@ -30,8 +30,8 @@ lint: vet
 	fi
 	$(GO) run ./cmd/nocvet ./...
 
-# The in-tree analyzer suite alone (detrange, detsource, hotalloc,
-# telemetrysafe — see DESIGN.md §10).
+# The in-tree analyzer suite alone (detrange, detsource, globalmut,
+# hotalloc, telemetrysafe — see DESIGN.md §10).
 nocvet:
 	$(GO) run ./cmd/nocvet ./...
 
@@ -66,6 +66,16 @@ golden:
 golden-check:
 	$(GO) run ./cmd/experiments -exp all > /tmp/experiments-all-mesh.txt
 	diff -u testdata/golden/experiments-all-mesh.txt /tmp/experiments-all-mesh.txt
+
+# The campaign determinism contract on a shipped spec: the same JSONL at
+# one worker and at three. cross-topology.json crosses the fault-free arm
+# with s2s-lob, so it exercises points that share one simulation (~1s).
+CAMPAIGN_CHECK_DIR ?= /tmp/campaign-check
+campaign-check:
+	mkdir -p $(CAMPAIGN_CHECK_DIR)
+	$(GO) run ./cmd/campaign run -spec specs/cross-topology.json -quiet -workers 1 -out $(CAMPAIGN_CHECK_DIR)/w1.jsonl
+	$(GO) run ./cmd/campaign run -spec specs/cross-topology.json -quiet -workers 3 -out $(CAMPAIGN_CHECK_DIR)/w3.jsonl
+	diff -u $(CAMPAIGN_CHECK_DIR)/w1.jsonl $(CAMPAIGN_CHECK_DIR)/w3.jsonl
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx ./...

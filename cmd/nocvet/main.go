@@ -11,6 +11,7 @@
 //	detsource      every module package   math/rand, wall-clock, env, racy select
 //	hotalloc       internal/noc           allocations reachable from Step/Inject
 //	telemetrysafe  internal/noc           scheduler state mutated outside sched.go
+//	globalmut      every module package   package-level variables assigned outside init
 //
 // Escape hatches are //nocvet:orderfree, //nocvet:allowalloc and
 // //nocvet:nondet comments, each requiring a reason; malformed or unused
@@ -26,13 +27,18 @@ import (
 	"tasp/internal/analysis"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("nocvet: ")
+// init installs the usage text: package state such as flag.Usage is set up
+// here, never reassigned later (the globalmut contract).
+func init() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: nocvet [packages]\n")
 		flag.PrintDefaults()
 	}
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("nocvet: ")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {

@@ -7,7 +7,7 @@ import (
 	"tasp/internal/analysis/analysistest"
 )
 
-// The four analyzer fixtures each demonstrate at least one flagged and one
+// The analyzer fixtures each demonstrate at least one flagged and one
 // permitted pattern, including the escape-hatch annotations (see the
 // testdata/src sources for the expectations).
 
@@ -33,6 +33,10 @@ func TestTelemetrySafeFixture(t *testing.T) {
 	}
 	analysistest.Run(t, "testdata/src/telemetrysafe",
 		analysis.NewTelemetrySafe(protected, []string{"sched.go"}))
+}
+
+func TestGlobalMutFixture(t *testing.T) {
+	analysistest.Run(t, "testdata/src/globalmut", analysis.NewGlobalMut())
 }
 
 // TestAnnotFixture exercises the annotation parser end to end: unknown

@@ -9,16 +9,22 @@ import (
 )
 
 // TestSeededRegression is the acceptance check for the whole suite: plant
-// the two canonical contract violations — a map range over router state and
-// a math/rand import — in a noc-shaped package and prove the shipped
-// internal/noc analyzer configuration (SuiteFor) turns both into findings.
-// If either analyzer regressed to silence, introducing this exact code into
-// internal/noc would sail through `make lint` and CI.
+// the canonical contract violations — a map range over router state, a
+// math/rand import, a direct scheduler-state write and a write to another
+// package's global (the bug class of the shared L-Ob escalation order,
+// whose in-module form the globalmut fixture covers) — in a
+// noc-shaped package and prove the shipped internal/noc analyzer
+// configuration (SuiteFor) turns each into a finding. If any analyzer
+// regressed to silence, introducing this exact code into internal/noc
+// would sail through `make lint` and CI.
 func TestSeededRegression(t *testing.T) {
 	dir := t.TempDir()
 	src := `package noc
 
-import "math/rand"
+import (
+	"math/rand"
+	"os"
+)
 
 type Router struct {
 	occ uint64
@@ -33,6 +39,7 @@ func (n *Network) Step() {
 		r.occ |= 1 << uint(id%64)
 	}
 	_ = rand.Int()
+	os.Args = os.Args[:1]
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "noc.go"), []byte(src), 0o644); err != nil {
@@ -58,6 +65,9 @@ func (n *Network) Step() {
 	}
 	if byAnalyzer["telemetrysafe"] == 0 {
 		t.Errorf("direct Router.occ mutation outside sched.go not flagged by telemetrysafe; got %v", diags)
+	}
+	if byAnalyzer["globalmut"] == 0 {
+		t.Errorf("write to the os.Args global not flagged by globalmut; got %v", diags)
 	}
 }
 
@@ -160,14 +170,14 @@ func (w *writer) commitDirect() {
 }
 
 func TestSuiteFor(t *testing.T) {
-	if got := analysis.SuiteFor("tasp/internal/noc"); len(got) != 4 {
-		t.Errorf("internal/noc suite has %d analyzers, want 4 (detrange, detsource, hotalloc, telemetrysafe)", len(got))
+	if got := analysis.SuiteFor("tasp/internal/noc"); len(got) != 5 {
+		t.Errorf("internal/noc suite has %d analyzers, want 5 (detrange, detsource, globalmut, hotalloc, telemetrysafe)", len(got))
 	}
-	if got := analysis.SuiteFor("tasp/internal/campaign"); len(got) != 4 {
-		t.Errorf("internal/campaign suite has %d analyzers, want 4 (detrange, detsource, hotalloc, telemetrysafe)", len(got))
+	if got := analysis.SuiteFor("tasp/internal/campaign"); len(got) != 5 {
+		t.Errorf("internal/campaign suite has %d analyzers, want 5 (detrange, detsource, globalmut, hotalloc, telemetrysafe)", len(got))
 	}
-	if got := analysis.SuiteFor("tasp/internal/exp"); len(got) != 2 {
-		t.Errorf("non-noc sim package suite has %d analyzers, want 2 (detrange, detsource)", len(got))
+	if got := analysis.SuiteFor("tasp/internal/exp"); len(got) != 3 {
+		t.Errorf("non-noc sim package suite has %d analyzers, want 3 (detrange, detsource, globalmut)", len(got))
 	}
 	if got := analysis.SuiteFor("fmt"); got != nil {
 		t.Errorf("non-module package got a suite: %v", got)

@@ -129,7 +129,7 @@ func SuiteFor(importPath string) []*Analyzer {
 	if !simPackage(importPath) {
 		return nil
 	}
-	suite := []*Analyzer{NewDetRange(), NewDetSource()}
+	suite := []*Analyzer{NewDetRange(), NewDetSource(), NewGlobalMut()}
 	switch importPath {
 	case "tasp/internal/noc":
 		suite = append(suite,

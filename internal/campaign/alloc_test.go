@@ -6,9 +6,11 @@ import (
 	"tasp/internal/core"
 )
 
-// pointLoop is the worker's per-point body without the channel plumbing:
-// lower the scenario, run it on the reused arena, fill and encode the
-// record into a recycled buffer.
+// pointLoop is the worker's per-point body without the grouping or the
+// channel plumbing: lower the scenario, run it on the reused arena, fill,
+// label and encode the record into a recycled buffer. Walking a grid with
+// it simulates every point, which makes it the point-by-point reference
+// for campaign.Run's output.
 type pointLoop struct {
 	scenarios []Scenario
 	runner    *core.Runner
@@ -19,8 +21,9 @@ type pointLoop struct {
 }
 
 func (p *pointLoop) step(tb testing.TB) {
-	sc := p.scenarios[p.i%len(p.scenarios)]
+	i := p.i % len(p.scenarios)
 	p.i++
+	sc := p.scenarios[i]
 	cfg, err := sc.Config()
 	if err != nil {
 		tb.Fatal(err)
@@ -28,13 +31,8 @@ func (p *pointLoop) step(tb testing.TB) {
 	if err := p.runner.RunInto(cfg, p.res); err != nil {
 		tb.Fatal(err)
 	}
-	p.rec.Index = p.i
-	p.rec.Topology = sc.Topology
-	p.rec.Benchmark = cfg.Benchmark
-	p.rec.Attack = sc.Attack.Name()
-	p.rec.Mitigation = cfg.Mitigation.String()
-	p.rec.Seed = sc.Seed
 	p.rec.Fill(p.res)
+	p.rec.label(i, sc, &cfg)
 	p.buf = p.rec.AppendJSONL(p.buf[:0])
 }
 

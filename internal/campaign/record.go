@@ -54,6 +54,23 @@ type Record struct {
 	RecoveredAt uint64 `json:"recovered_at"`
 }
 
+// label sets the record's scenario identity: grid index i, scenario sc and
+// its lowered configuration cfg. Points of one simulation group differ only
+// in Index and Mitigation, so relabelling a group's filled record yields
+// each member's record.
+func (r *Record) label(i int, sc Scenario, cfg *core.ExperimentConfig) {
+	r.Index = i
+	r.Topology = cfg.Noc.Topo
+	if r.Topology == "" {
+		r.Topology = "mesh"
+	}
+	r.Width, r.Height = cfg.Noc.Width, cfg.Noc.Height
+	r.Benchmark = cfg.Benchmark
+	r.Attack = sc.Attack.Name()
+	r.Mitigation = cfg.Mitigation.String()
+	r.Seed = sc.Seed
+}
+
 // Fill populates the outcome fields from a run's results (the scenario
 // identity fields are the caller's). It must stay allocation-free: it runs
 // once per point inside the worker loop.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -109,10 +110,11 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		onRecord:  opt.OnRecord,
 	}
 
-	// Workers stripe the remaining points statically — worker w takes
-	// points start+w, start+w+W, ... — so each worker's sequence (and its
-	// arena reuse) is deterministic, though determinism of the output only
-	// relies on per-point determinism plus the in-order writer.
+	// The plan deals the remaining points' distinct simulations to the
+	// workers up front, so each worker's sequence (and its arena reuse) is
+	// deterministic, though determinism of the output only relies on
+	// per-point determinism plus the in-order writer.
+	p := newPlan(scenarios, start, workers)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan encoded, workers)
@@ -122,7 +124,7 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			if err := worker(runCtx, scenarios, start+wk, workers, w.free, results); err != nil {
+			if err := worker(runCtx, scenarios, p.steps[wk], p.slots[wk], w.free, results); err != nil {
 				errs <- err
 				cancel()
 			}
@@ -162,37 +164,123 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 	return w.written, failed
 }
 
-// worker runs every stripeth point from first, encoding each result into a
-// recycled buffer. One core.Runner per worker: repeated points on the same
-// platform reuse its arenas, which is where the engine's 0 allocs/point
-// steady state comes from.
-func worker(ctx context.Context, scenarios []Scenario, first, stripe int, free chan []byte, results chan<- encoded) error {
+// plan is a run's schedule. Points whose simulations are provably identical
+// form a group that is simulated once, by its first member; the rest of the
+// group copies that member's record. Groups are dealt round-robin to the
+// workers in the order of their first members.
+type plan struct {
+	steps [][]step // per worker, in grid order
+	slots []int    // per worker: record slots that must be live at once
+}
+
+// step is one point of a worker's schedule.
+type step struct {
+	index int  // grid index
+	slot  int  // the worker's record slot that holds the point's group result
+	run   bool // first member of its group: simulate into the slot
+}
+
+// newPlan groups scenarios[start:] by simulation and deals the groups to
+// the workers. A resumed run plans only its uncommitted suffix, so a group
+// whose first member was already committed re-forms around its first
+// uncommitted member. Record slots are reused once a group's last member
+// has been emitted, so a worker needs as many slots as it has groups open
+// at once.
+func newPlan(scenarios []Scenario, start, workers int) plan {
+	ids := map[string]int{}
+	group := make([]int, len(scenarios)-start) // per point: group id, in first-member order
+	var last []int                             // per group: grid index of its last member
+	for i := start; i < len(scenarios); i++ {
+		g := len(last)
+		if key, ok := simKey(scenarios[i]); ok {
+			if id, seen := ids[key]; seen {
+				g = id
+			} else {
+				ids[key] = g
+			}
+		}
+		if g == len(last) {
+			last = append(last, i)
+		} else {
+			last[g] = i
+		}
+		group[i-start] = g
+	}
+
+	p := plan{steps: make([][]step, workers), slots: make([]int, workers)}
+	slot := make([]int, len(last))
+	free := make([][]int, workers) // per worker: released slots
+	opened := 0
+	for i := start; i < len(scenarios); i++ {
+		g := group[i-start]
+		wk := g % workers
+		st := step{index: i, run: g == opened}
+		if st.run {
+			opened++
+			if n := len(free[wk]); n > 0 {
+				slot[g], free[wk] = free[wk][n-1], free[wk][:n-1]
+			} else {
+				slot[g] = p.slots[wk]
+				p.slots[wk]++
+			}
+		}
+		st.slot = slot[g]
+		p.steps[wk] = append(p.steps[wk], st)
+		if last[g] == i {
+			free[wk] = append(free[wk], slot[g])
+		}
+	}
+	return p
+}
+
+// simKey identifies the simulation a scenario runs: the scenario with its
+// mitigation normalised to the name core resolves it to, and to "none"
+// when core reports the mitigation inert on this point. Points that fail
+// to lower get no key and so run alone, failing at their own index.
+func simKey(sc Scenario) (string, bool) {
+	cfg, err := sc.Config()
+	if err != nil {
+		return "", false
+	}
+	sc.Mitigation = cfg.Mitigation.String()
+	if cfg.MitigationInert() {
+		sc.Mitigation = core.NoMitigation.String()
+	}
+	data, err := json.Marshal(sc)
+	if err != nil {
+		return "", false
+	}
+	return string(data), true
+}
+
+// worker walks its planned points in grid order, encoding each record into
+// a recycled buffer. It simulates only a group's first member, into that
+// group's record slot; later members reuse the slot and relabel it. One
+// core.Runner per worker: repeated points on the same platform reuse its
+// arenas, which is where the engine's 0 allocs/point steady state comes
+// from.
+func worker(ctx context.Context, scenarios []Scenario, steps []step, slots int, free chan []byte, results chan<- encoded) error {
 	runner := core.NewRunner()
-	res := &core.Results{} //nocvet:allowalloc once per worker, not per point; RunInto reuses it
-	var rec Record
-	for i := first; i < len(scenarios); i += stripe {
+	res := &core.Results{}        //nocvet:allowalloc once per worker, not per point; RunInto reuses it
+	recs := make([]Record, slots) //nocvet:allowalloc once per worker, sized by the plan
+	for _, st := range steps {
 		if ctx.Err() != nil {
 			return nil
 		}
+		i := st.index
 		sc := scenarios[i]
 		cfg, err := sc.Config()
 		if err != nil {
 			return fmt.Errorf("point %d: %w", i, err) //nocvet:allowalloc error path aborts the sweep
 		}
-		if err := runner.RunInto(cfg, res); err != nil {
-			return fmt.Errorf("point %d: %w", i, err) //nocvet:allowalloc error path aborts the sweep
+		rec := &recs[st.slot]
+		if st.run {
+			if err := runner.RunInto(cfg, res); err != nil {
+				return fmt.Errorf("point %d: %w", i, err) //nocvet:allowalloc error path aborts the sweep
+			}
+			rec.Fill(res)
 		}
-		rec.Index = i
-		rec.Topology = cfg.Noc.Topo
-		if rec.Topology == "" {
-			rec.Topology = "mesh"
-		}
-		rec.Width, rec.Height = cfg.Noc.Width, cfg.Noc.Height
-		rec.Benchmark = cfg.Benchmark
-		rec.Attack = sc.Attack.Name()
-		rec.Mitigation = cfg.Mitigation.String()
-		rec.Seed = sc.Seed
-		rec.Fill(res)
+		rec.label(i, sc, &cfg)
 		var buf []byte
 		select {
 		case buf = <-free:

@@ -58,6 +58,28 @@ func ParseMitigation(s string) (Mitigation, error) {
 	return NoMitigation, fmt.Errorf("unknown mitigation %q (want none, s2s-lob, e2e-obfuscation, tdm-qos or rerouting)", s)
 }
 
+// MitigationInert reports whether the configured mitigation provably cannot
+// act on this run, so its Results equal those of the same configuration
+// under NoMitigation in everything but Config.Mitigation. It holds for the
+// s2s-lob and rerouting arms of a fault-free run: no attack and no
+// transient upsets. Then every wire's Tap is fault.None, so no flit is ever
+// NACKed; the attempt counter stays 0, the L-Ob method log stays empty, the
+// choice is always lob.None and Detector.OnClean(_, None) returns at once.
+// The rerouting baseline reconfigures only when Attack.Enabled. E2E
+// obfuscation (scrambled payloads) and TDM QoS (partitioned buffers, slot
+// schedule) change the run even without faults, so they are never inert.
+//
+// This is the one place that knows mitigation semantics; the campaign
+// engine runs one simulation for every group of points that differ only in
+// an inert mitigation.
+func (c *ExperimentConfig) MitigationInert() bool {
+	switch c.Mitigation {
+	case S2SLOb, Rerouting:
+		return !c.Attack.Enabled && c.TransientBER == 0
+	}
+	return false
+}
+
 // AttackConfig describes the trojan deployment for a run.
 type AttackConfig struct {
 	Enabled bool

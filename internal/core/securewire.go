@@ -145,10 +145,17 @@ func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {
 
 // Transmit implements noc.Wire.
 func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) (flit.Flit, noc.TxResult) {
-	if w.Tap == fault.None && !w.Mitigated {
-		// Healthy unprotected link: no obfuscation, nothing in flight to
-		// corrupt, so the SECDED round trip is the identity and the flow
-		// latch is never read (only the mitigation path consults it).
+	if w.Tap == fault.None && (!w.Mitigated || (attempt == 0 && w.Log.Len() == 0)) {
+		// Healthy link: nothing in flight can corrupt the flit, so the
+		// SECDED round trip is the identity. Unprotected, there is no
+		// obfuscation and the flow latch is never read. Protected, a first
+		// attempt with an empty method log chooses lob.None, decodes clean
+		// and OnClean(_, None) returns at once; the flow latch is still
+		// updated, so a later attempt resolves the same flow the full path
+		// would.
+		if w.Mitigated {
+			w.flowOf(f, vc)
+		}
 		return f, noc.TxResult{OK: true}
 	}
 	flow := w.flowOf(f, vc)

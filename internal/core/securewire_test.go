@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"tasp/internal/detect"
@@ -190,26 +191,38 @@ func TestSecureWireForgetsFailedMethod(t *testing.T) {
 }
 
 // TestHealthyWireFastPathEquivalence pins the healthy-link fast path: a
-// PlainWire, or an unmitigated SecureWire, whose tap is fault.None returns
-// its flit without the SECDED encode→decode round trip. For random
-// payloads, flit framings and attempt counts that must be
-// indistinguishable from the full path, which an identity tap that is not
-// fault.None forces. Mitigated SecureWires always take the full path; they
-// are compared too, so a future fast path there is held to the same bar.
+// wire whose tap is fault.None returns its flit without the SECDED
+// encode→decode round trip when it is a PlainWire or an unmitigated
+// SecureWire, or a mitigated SecureWire on a first attempt with an empty
+// method log. For random payloads, flit framings and attempt counts that
+// must be indistinguishable from the full path, which an identity tap that
+// is not fault.None forces. The mitigated pair must escalate at later
+// attempts exactly like its twin, so the fast path has to keep the flow
+// latch current; a mitigated pair whose log starts non-empty must take the
+// full path at every attempt.
 func TestHealthyWireFastPathEquivalence(t *testing.T) {
 	identity := fault.InjectorFunc(func(_ uint64, w ecc.Codeword, _ fault.Framing) ecc.Codeword { return w })
 	rng := xrand.New(5)
 	kinds := []flit.Type{flit.Head, flit.Body, flit.Tail, flit.Single}
 
 	fast, full := noc.NewPlainWire(), &noc.PlainWire{Tap: identity}
-	type secure struct{ fast, full *SecureWire }
-	var secures []secure
-	for _, mitigated := range []bool{false, true} {
-		secures = append(secures, secure{
-			fast: NewSecureWire(fault.None, 3, flit.Default).WithMitigation(mitigated),
-			full: NewSecureWire(identity, 3, flit.Default).WithMitigation(mitigated),
-		})
+	type secure struct {
+		name       string
+		fast, full *SecureWire
 	}
+	pair := func(name string, mitigated bool) secure {
+		return secure{name: name,
+			fast: NewSecureWire(fault.None, 3, flit.Default).WithMitigation(mitigated),
+			full: NewSecureWire(identity, 3, flit.Default).WithMitigation(mitigated)}
+	}
+	unprotected, mitigated, logged := pair("unmitigated", false), pair("mitigated", true), pair("mitigated, logged", true)
+	for vc := uint8(0); vc < 4; vc++ {
+		flow := lob.FlowKey{VC: vc} // the flow of a body flit whose head was never seen
+		for _, w := range []*SecureWire{logged.fast, logged.full} {
+			w.Log.Record(flow, lob.Choice{Method: lob.Invert, Gran: lob.PayloadOnly})
+		}
+	}
+	secures := []secure{unprotected, mitigated, logged}
 	for i := 0; i < 5000; i++ {
 		f := flit.Flit{
 			Kind:     kinds[rng.Intn(len(kinds))],
@@ -219,6 +232,12 @@ func TestHealthyWireFastPathEquivalence(t *testing.T) {
 			InjectAt: uint64(i),
 		}
 		cycle, vc, attempt := uint64(i), uint8(rng.Intn(4)), rng.Intn(7)
+		if i%64 == 0 {
+			// Escalation soon logs a method; emptying the log again sends
+			// the mitigated pair back through the fast path.
+			mitigated.fast.Log.Reset()
+			mitigated.full.Log.Reset()
+		}
 
 		gf, gr := fast.Transmit(cycle, f, vc, attempt)
 		wf, wr := full.Transmit(cycle, f, vc, attempt)
@@ -232,18 +251,22 @@ func TestHealthyWireFastPathEquivalence(t *testing.T) {
 			gf, gr := s.fast.Transmit(cycle, f, vc, attempt)
 			wf, wr := s.full.Transmit(cycle, f, vc, attempt)
 			if gf != wf || gr != wr {
-				t.Fatalf("secure wire (mitigated %v), step %d (%v attempt %d): fast path %+v %+v, full path %+v %+v",
-					s.fast.Mitigated, i, f.Kind, attempt, gf, gr, wf, wr)
+				t.Fatalf("secure wire (%s), step %d (%v attempt %d): fast path %+v %+v, full path %+v %+v",
+					s.name, i, f.Kind, attempt, gf, gr, wf, wr)
 			}
 			a, b := s.fast, s.full
 			if a.Corrected != b.Corrected || a.Dropped != b.Dropped || a.Swallowed != b.Swallowed ||
 				a.Obfuscated != b.Obfuscated || a.BISTScans != b.BISTScans || a.StallCycles != b.StallCycles ||
-				a.Log.Len() != b.Log.Len() || a.Detector.Classification() != b.Detector.Classification() {
-				t.Fatalf("secure wire (mitigated %v), step %d: counters or L-Ob state diverged", a.Mitigated, i)
+				a.Log.Len() != b.Log.Len() || a.Detector.Classification() != b.Detector.Classification() ||
+				(a.Mitigated && !maps.Equal(a.flows, b.flows)) { // an unmitigated wire never reads its latch
+				t.Fatalf("secure wire (%s), step %d: counters, L-Ob state or flow latch diverged", s.name, i)
 			}
 		}
 	}
-	if secures[1].fast.Obfuscated == 0 {
+	if mitigated.fast.Obfuscated == 0 {
 		t.Fatal("the mitigated wires never obfuscated: escalation was not exercised")
+	}
+	if logged.fast.Obfuscated == 0 || logged.fast.StallCycles == 0 {
+		t.Fatal("the logged wires never obfuscated: the non-empty log did not force the full path")
 	}
 }
