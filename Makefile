@@ -46,7 +46,8 @@ race:
 	$(GO) test -race ./internal/noc ./internal/exp
 	$(GO) test -race -count=2 ./internal/locate
 	$(GO) test -race -count=2 -run TestRunAll ./internal/exp
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestKillResume' ./internal/campaign
+	$(GO) test -race -run 'TestForkedArmsMatchFullRuns|TestCloneContinue|TestRunGroup' ./internal/core
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestKillResume|TestRunMatchesPointByPoint' ./internal/campaign
 	$(GO) test -count=5 -run 'TestRunAllParallelMatchesSerial|TestGoldenExperimentsAllByteIdentical' ./internal/exp
 
 # Fuzz the header Encode/Decode round-trip across randomized layouts.
@@ -67,15 +68,29 @@ golden-check:
 	$(GO) run ./cmd/experiments -exp all > /tmp/experiments-all-mesh.txt
 	diff -u testdata/golden/experiments-all-mesh.txt /tmp/experiments-all-mesh.txt
 
-# The campaign determinism contract on a shipped spec: the same JSONL at
-# one worker and at three. cross-topology.json crosses the fault-free arm
-# with s2s-lob, so it exercises points that share one simulation (~1s).
+# The campaign determinism contract on shipped specs. cross-topology.json
+# crosses the fault-free arm with s2s-lob, so it exercises points that
+# share one simulation and arms forked from a trunk: the same JSONL at one
+# worker and at three. A worker-count diff cannot catch a fork that is
+# wrong at every worker count, so sweep-1080.json (trunks with forked
+# s2s-lob and rerouting arms) must also match the SHA-256 of the output of
+# a build that simulated every point in full (~10s).
 CAMPAIGN_CHECK_DIR ?= /tmp/campaign-check
 campaign-check:
 	mkdir -p $(CAMPAIGN_CHECK_DIR)
-	$(GO) run ./cmd/campaign run -spec specs/cross-topology.json -quiet -workers 1 -out $(CAMPAIGN_CHECK_DIR)/w1.jsonl
-	$(GO) run ./cmd/campaign run -spec specs/cross-topology.json -quiet -workers 3 -out $(CAMPAIGN_CHECK_DIR)/w3.jsonl
+	$(GO) build -o $(CAMPAIGN_CHECK_DIR)/campaign ./cmd/campaign
+	$(CAMPAIGN_CHECK_DIR)/campaign run -spec specs/cross-topology.json -quiet -workers 1 -out $(CAMPAIGN_CHECK_DIR)/w1.jsonl
+	$(CAMPAIGN_CHECK_DIR)/campaign run -spec specs/cross-topology.json -quiet -workers 3 -out $(CAMPAIGN_CHECK_DIR)/w3.jsonl
 	diff -u $(CAMPAIGN_CHECK_DIR)/w1.jsonl $(CAMPAIGN_CHECK_DIR)/w3.jsonl
+	@for w in 1 3; do \
+		$(CAMPAIGN_CHECK_DIR)/campaign run -spec specs/sweep-1080.json -quiet -workers $$w -out $(CAMPAIGN_CHECK_DIR)/sweep-w$$w.jsonl || exit 1; \
+		got=$$(sha256sum < $(CAMPAIGN_CHECK_DIR)/sweep-w$$w.jsonl | cut -d' ' -f1); \
+		want=$$(cat testdata/golden/campaign-sweep-1080.sha256); \
+		if [ "$$got" != "$$want" ]; then \
+			echo "sweep-1080 at $$w workers: sha256 $$got, golden $$want"; exit 1; \
+		fi; \
+		echo "sweep-1080 at $$w workers matches the golden digest"; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx ./...

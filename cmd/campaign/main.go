@@ -86,7 +86,9 @@ func runCmd(args []string, resume bool) error {
 	}
 	total := spec.Size()
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "%s: %d points -> %s\n", name, total, *outPath)
+		sims, cycles := campaign.Cost(spec.Expand())
+		fmt.Fprintf(os.Stderr, "%s: %d points / %d simulations / %d simulated cycles -> %s\n",
+			name, total, sims, cycles, *outPath)
 	}
 
 	// A first interrupt cancels the sweep cleanly at a record boundary (the

@@ -9,13 +9,15 @@ import "strings"
 // NocHotPathRoots are the simulator entry points whose transitive (static,
 // intra-package) callees must stay allocation-free: the per-cycle pipeline,
 // the injection path, and the arena reset the campaign engine calls once
-// per grid point. The router phase functions and the NI inject/receive
+// per grid point, plus the state copy that forks a run into a twin arena
+// (once per forked arm). The router phase functions and the NI inject/receive
 // paths are reached from these, so they are covered without being named.
 var NocHotPathRoots = []string{
 	"Network.Step",
 	"Network.Inject",
 	"Network.Run",
 	"Network.Reset",
+	"Network.CopyFrom",
 }
 
 // NocProtectedFields is the scheduler state of the event-driven core

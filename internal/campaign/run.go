@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 
 	"tasp/internal/core"
@@ -110,7 +111,7 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		onRecord:  opt.OnRecord,
 	}
 
-	// The plan deals the remaining points' distinct simulations to the
+	// The plan deals the remaining points' simulation groups to the
 	// workers up front, so each worker's sequence (and its arena reuse) is
 	// deterministic, though determinism of the output only relies on
 	// per-point determinism plus the in-order writer.
@@ -124,7 +125,7 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			if err := worker(runCtx, scenarios, p.steps[wk], p.slots[wk], w.free, results); err != nil {
+			if err := worker(runCtx, scenarios, p.steps[wk], p.slots[wk], p.arms, w.free, results); err != nil {
 				errs <- err
 				cancel()
 			}
@@ -164,104 +165,188 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 	return w.written, failed
 }
 
-// plan is a run's schedule. Points whose simulations are provably identical
-// form a group that is simulated once, by its first member; the rest of the
-// group copies that member's record. Groups are dealt round-robin to the
-// workers in the order of their first members.
+// plan is a run's schedule. Points whose simulations share a prefix form a
+// group: one unmitigated trunk run plus the s2s-lob and rerouting arms core
+// lets fork from it (core.ExperimentConfig.DivergesAt). A group is
+// simulated in one go by its first member (core.Runner.RunGroup), which
+// fills one record slot per distinct simulation; every member then labels
+// its simulation's slot. Groups are dealt round-robin to the workers in the
+// order of their first members.
 type plan struct {
 	steps [][]step // per worker, in grid order
 	slots []int    // per worker: record slots that must be live at once
+	arms  int      // the most arms in any group
 }
 
 // step is one point of a worker's schedule.
 type step struct {
-	index int  // grid index
-	slot  int  // the worker's record slot that holds the point's group result
-	run   bool // first member of its group: simulate into the slot
+	index int    // grid index
+	slot  int    // the worker's record slot that holds the point's simulation
+	group *group // set on a group's first member: simulate the whole group
 }
 
-// newPlan groups scenarios[start:] by simulation and deals the groups to
-// the workers. A resumed run plans only its uncommitted suffix, so a group
-// whose first member was already committed re-forms around its first
-// uncommitted member. Record slots are reused once a group's last member
-// has been emitted, so a worker needs as many slots as it has groups open
-// at once.
+// group is one trunk and the arms forked from it.
+type group struct {
+	trunkSlot int // record slot of the trunk's run; -1 = unrecorded
+	arms      []core.Mitigation
+	armSlots  []int
+	forks     []uint64 // per arm: DivergesAt, ascending
+	total     uint64   // cycles in a full run
+
+	last   int // planning: grid index of the group's last member
+	worker int // planning: the worker the group is dealt to
+}
+
+// cycles counts the cycles simulating the group costs: the trunk up to its
+// end (or, unrecorded, up to the last fork) and each arm from its fork on.
+func (g *group) cycles() uint64 {
+	n := g.total
+	if g.trunkSlot < 0 && len(g.forks) > 0 {
+		n = min(g.forks[len(g.forks)-1]-1, g.total)
+	}
+	for _, d := range g.forks {
+		n += g.total - min(d-1, g.total)
+	}
+	return n
+}
+
+// member is a point's place in its group during planning: an arm with its
+// mitigation, or (arm false) the trunk's simulation.
+type member struct {
+	g   *group
+	arm bool
+	mit core.Mitigation
+}
+
+// newPlan groups scenarios[start:] by shared simulation prefix and deals
+// the groups to the workers. A resumed run plans only its uncommitted
+// suffix, so a group whose first member was already committed re-forms
+// around its first uncommitted member. Record slots are reused once a
+// group's last member has been emitted, so a worker needs as many slots as
+// the simulations of the groups it has open at once.
 func newPlan(scenarios []Scenario, start, workers int) plan {
-	ids := map[string]int{}
-	group := make([]int, len(scenarios)-start) // per point: group id, in first-member order
-	var last []int                             // per group: grid index of its last member
+	ids := map[string]*group{}
+	members := make([]member, len(scenarios)-start)
 	for i := start; i < len(scenarios); i++ {
-		g := len(last)
-		if key, ok := simKey(scenarios[i]); ok {
-			if id, seen := ids[key]; seen {
-				g = id
-			} else {
+		key, cfg, ok := groupKey(scenarios[i])
+		g := ids[key]
+		if !ok || g == nil {
+			g = &group{trunkSlot: -1, total: uint64(cfg.Warmup + cfg.Measure), worker: -1}
+			if ok {
 				ids[key] = g
 			}
 		}
-		if g == len(last) {
-			last = append(last, i)
+		g.last = i
+		m := member{g: g, mit: cfg.Mitigation}
+		if d := cfg.DivergesAt(); ok && d != 0 && d <= g.total {
+			m.arm = true
+			if !slices.Contains(g.arms, m.mit) {
+				// Fork order: the trunk reaches each arm's fork before the next.
+				k, _ := slices.BinarySearch(g.forks, d)
+				g.forks = slices.Insert(g.forks, k, d)
+				g.arms = slices.Insert(g.arms, k, m.mit)
+			}
 		} else {
-			last[g] = i
+			g.trunkSlot = 0 // recorded; the slot is assigned when dealt
 		}
-		group[i-start] = g
+		members[i-start] = m
 	}
 
 	p := plan{steps: make([][]step, workers), slots: make([]int, workers)}
-	slot := make([]int, len(last))
 	free := make([][]int, workers) // per worker: released slots
-	opened := 0
-	for i := start; i < len(scenarios); i++ {
-		g := group[i-start]
-		wk := g % workers
-		st := step{index: i, run: g == opened}
-		if st.run {
-			opened++
-			if n := len(free[wk]); n > 0 {
-				slot[g], free[wk] = free[wk][n-1], free[wk][:n-1]
-			} else {
-				slot[g] = p.slots[wk]
-				p.slots[wk]++
-			}
+	take := func(wk int) int {
+		if n := len(free[wk]); n > 0 {
+			s := free[wk][n-1]
+			free[wk] = free[wk][:n-1]
+			return s
 		}
-		st.slot = slot[g]
-		p.steps[wk] = append(p.steps[wk], st)
-		if last[g] == i {
-			free[wk] = append(free[wk], slot[g])
+		p.slots[wk]++
+		return p.slots[wk] - 1
+	}
+	dealt := 0
+	for i := start; i < len(scenarios); i++ {
+		m := members[i-start]
+		g := m.g
+		st := step{index: i}
+		if g.worker < 0 {
+			g.worker = dealt % workers
+			dealt++
+			st.group = g
+			if g.trunkSlot >= 0 {
+				g.trunkSlot = take(g.worker)
+			}
+			g.armSlots = make([]int, len(g.arms))
+			for k := range g.armSlots {
+				g.armSlots[k] = take(g.worker)
+			}
+			p.arms = max(p.arms, len(g.arms))
+		}
+		st.slot = g.trunkSlot
+		if m.arm {
+			st.slot = g.armSlots[slices.Index(g.arms, m.mit)]
+		}
+		p.steps[g.worker] = append(p.steps[g.worker], st)
+		if g.last == i {
+			if g.trunkSlot >= 0 {
+				free[g.worker] = append(free[g.worker], g.trunkSlot)
+			}
+			free[g.worker] = append(free[g.worker], g.armSlots...)
 		}
 	}
 	return p
 }
 
-// simKey identifies the simulation a scenario runs: the scenario with its
-// mitigation normalised to the name core resolves it to, and to "none"
-// when core reports the mitigation inert on this point. Points that fail
-// to lower get no key and so run alone, failing at their own index.
-func simKey(sc Scenario) (string, bool) {
+// groupKey identifies the group a scenario belongs to: the scenario with
+// its mitigation replaced by "none" when core lets the point share the
+// unmitigated run's prefix (DivergesAt > 0), and otherwise normalised to
+// the name core resolves it to, so that only identical simulations share
+// it. Points that fail to lower get no key and so run alone, failing at
+// their own index.
+func groupKey(sc Scenario) (string, core.ExperimentConfig, bool) {
 	cfg, err := sc.Config()
 	if err != nil {
-		return "", false
+		return "", cfg, false
 	}
 	sc.Mitigation = cfg.Mitigation.String()
-	if cfg.MitigationInert() {
+	if cfg.DivergesAt() != 0 {
 		sc.Mitigation = core.NoMitigation.String()
 	}
 	data, err := json.Marshal(sc)
 	if err != nil {
-		return "", false
+		return "", cfg, false
 	}
-	return string(data), true
+	return string(data), cfg, true
+}
+
+// Cost reports what running a grid costs after grouping: the simulations
+// (one per trunk and one per forked arm) and the cycles they simulate.
+func Cost(scenarios []Scenario) (simulations int, cycles uint64) {
+	for _, steps := range newPlan(scenarios, 0, 1).steps {
+		for _, st := range steps {
+			if g := st.group; g != nil {
+				simulations += len(g.arms)
+				if g.trunkSlot >= 0 {
+					simulations++
+				}
+				cycles += g.cycles()
+			}
+		}
+	}
+	return simulations, cycles
 }
 
 // worker walks its planned points in grid order, encoding each record into
-// a recycled buffer. It simulates only a group's first member, into that
-// group's record slot; later members reuse the slot and relabel it. One
-// core.Runner per worker: repeated points on the same platform reuse its
-// arenas, which is where the engine's 0 allocs/point steady state comes
-// from.
-func worker(ctx context.Context, scenarios []Scenario, steps []step, slots int, free chan []byte, results chan<- encoded) error {
+// a recycled buffer. At a group's first member it simulates the whole
+// group, filling one record slot per simulation; every member then labels
+// its simulation's slot. One core.Runner per worker: repeated points on the
+// same platform reuse its arenas, which is where the engine's 0
+// allocs/point steady state comes from.
+func worker(ctx context.Context, scenarios []Scenario, steps []step, slots, arms int, free chan []byte, results chan<- encoded) error {
 	runner := core.NewRunner()
-	res := &core.Results{}        //nocvet:allowalloc once per worker, not per point; RunInto reuses it
+	res := make([]*core.Results, 1+arms) //nocvet:allowalloc once per worker, sized by the plan
+	for k := range res {
+		res[k] = &core.Results{} //nocvet:allowalloc once per worker, not per point; RunGroup reuses them
+	}
 	recs := make([]Record, slots) //nocvet:allowalloc once per worker, sized by the plan
 	for _, st := range steps {
 		if ctx.Err() != nil {
@@ -273,13 +358,27 @@ func worker(ctx context.Context, scenarios []Scenario, steps []step, slots int, 
 		if err != nil {
 			return fmt.Errorf("point %d: %w", i, err) //nocvet:allowalloc error path aborts the sweep
 		}
-		rec := &recs[st.slot]
-		if st.run {
-			if err := runner.RunInto(cfg, res); err != nil {
+		if g := st.group; g != nil {
+			trunk := cfg
+			if trunk.DivergesAt() != 0 {
+				trunk.Mitigation = core.NoMitigation
+			}
+			var trunkRes *core.Results
+			if g.trunkSlot >= 0 {
+				trunkRes = res[0]
+			}
+			armRes := res[1 : 1+len(g.arms)]
+			if err := runner.RunGroup(trunk, trunkRes, g.arms, armRes); err != nil {
 				return fmt.Errorf("point %d: %w", i, err) //nocvet:allowalloc error path aborts the sweep
 			}
-			rec.Fill(res)
+			if trunkRes != nil {
+				recs[g.trunkSlot].Fill(trunkRes)
+			}
+			for k, r := range armRes {
+				recs[g.armSlots[k]].Fill(r)
+			}
 		}
+		rec := &recs[st.slot]
 		rec.label(i, sc, &cfg)
 		var buf []byte
 		select {

@@ -58,26 +58,92 @@ func ParseMitigation(s string) (Mitigation, error) {
 	return NoMitigation, fmt.Errorf("unknown mitigation %q (want none, s2s-lob, e2e-obfuscation, tdm-qos or rerouting)", s)
 }
 
-// MitigationInert reports whether the configured mitigation provably cannot
-// act on this run, so its Results equal those of the same configuration
-// under NoMitigation in everything but Config.Mitigation. It holds for the
-// s2s-lob and rerouting arms of a fault-free run: no attack and no
-// transient upsets. Then every wire's Tap is fault.None, so no flit is ever
-// NACKed; the attempt counter stays 0, the L-Ob method log stays empty, the
-// choice is always lob.None and Detector.OnClean(_, None) returns at once.
-// The rerouting baseline reconfigures only when Attack.Enabled. E2E
-// obfuscation (scrambled payloads) and TDM QoS (partitioned buffers, slot
-// schedule) change the run even without faults, so they are never inert.
+// NeverDiverges is DivergesAt's answer for a run that equals its
+// unmitigated counterpart from the first cycle to the last.
+const NeverDiverges = ^uint64(0)
+
+// DivergesAt returns the first cycle at which this run can differ from the
+// same configuration under NoMitigation. Cycles 1 to D-1 are then the
+// unmitigated run's in every state that can affect an output (see the
+// s2s-lob case for the one write-only difference), so Runner.RunGroup may
+// fork the run from it at the end of cycle D-1; a D past the last cycle
+// means the whole run equals the unmitigated one, Results and all, except
+// Config.Mitigation. 0 declines sharing. This is the one place that knows
+// mitigation semantics; the campaign engine plans its groups from it. Case
+// by case:
 //
-// This is the one place that knows mitigation semantics; the campaign
-// engine runs one simulation for every group of points that differ only in
-// an inert mitigation.
-func (c *ExperimentConfig) MitigationInert() bool {
+//   - none never diverges from itself.
+//   - e2e-obfuscation and tdm-qos: 0. Scrambled payloads, partitioned
+//     buffers and the slot schedule change the run from its first cycle.
+//   - TransientBER > 0: 0. An upset can NACK a flit at any cycle.
+//   - s2s-lob or rerouting without an attack never diverge. Every tap is
+//     fault.None, so no flit is NACKed: the attempt counter stays 0, the
+//     L-Ob method log stays empty, every choice is lob.None and
+//     Detector.OnClean(_, None) returns at once. Rerouting reconfigures
+//     only under an enabled attack.
+//   - Under attack, SecureAck, Locate, RecoverOnConvict and
+//     PredisabledLinks: 0. They keep state a fork does not copy (the ack
+//     monitor, the telemetry tap, replaced routes).
+//   - Rerouting under attack: enableAt + RerouteDetectDelay, the cycle the
+//     baseline reconfigures. Until then its wires and routes are the
+//     unmitigated run's.
+//   - s2s-lob under the flip family: enableAt, the first cycle the kill
+//     switch is on. Before it a killed-off trojan forwards every codeword
+//     unchanged, so nothing is NACKed and the chain above holds: a
+//     mitigated wire at attempt 0 with an empty log chooses lob.None, and
+//     OnClean(_, None) is a no-op. The one state that differs is the flow
+//     latch of the mitigated fast path on Tap == fault.None wires, and it
+//     is write-only there: such a wire never sees attempt > 0, so the latch
+//     is never read.
+//   - s2s-lob under the drop, misroute, throttle and collude families never
+//     diverges. They never corrupt a codeword (a swallow returns before the
+//     decode, a rewrite re-encodes a valid word), so without upsets no flit
+//     is NACKed at any cycle and the argument above holds for the whole run.
+func (c *ExperimentConfig) DivergesAt() uint64 {
 	switch c.Mitigation {
+	case NoMitigation:
+		return NeverDiverges
 	case S2SLOb, Rerouting:
-		return !c.Attack.Enabled && c.TransientBER == 0
+	default:
+		return 0
 	}
-	return false
+	switch {
+	case c.TransientBER > 0:
+		return 0
+	case !c.Attack.Enabled:
+		return NeverDiverges
+	case c.SecureAck || c.Locate || c.RecoverOnConvict || len(c.PredisabledLinks) > 0:
+		return 0
+	}
+	r := *c
+	r.resolveDefaults()
+	if c.Mitigation == Rerouting {
+		return r.enableAt() + uint64(r.RerouteDetectDelay)
+	}
+	if c.Attack.Kind == tasp.KindFlip {
+		return r.enableAt()
+	}
+	return NeverDiverges
+}
+
+// resolveDefaults replaces the zero-value sentinels the run loop reads with
+// their defaults. Runs echo the resolved values in Results.Config.
+func (c *ExperimentConfig) resolveDefaults() {
+	if c.SampleEvery <= 0 {
+		c.SampleEvery = 25
+	}
+	if c.RerouteDetectDelay <= 0 {
+		c.RerouteDetectDelay = 200
+	}
+}
+
+// enableAt returns the cycle the kill switch flips on (EnableAt 0 = after
+// warm-up).
+func (c *ExperimentConfig) enableAt() uint64 {
+	if c.Attack.EnableAt == 0 {
+		return uint64(c.Warmup)
+	}
+	return c.Attack.EnableAt
 }
 
 // AttackConfig describes the trojan deployment for a run.

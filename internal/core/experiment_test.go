@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"tasp/internal/detect"
@@ -297,75 +296,6 @@ func TestMitigationStrings(t *testing.T) {
 	for m, s := range want {
 		if m.String() != s {
 			t.Errorf("%d = %q want %q", m, m.String(), s)
-		}
-	}
-}
-
-// TestInertMitigationMatchesNone pins the equivalence MitigationInert
-// claims, which lets the campaign engine run one simulation for points that
-// differ only in an inert mitigation: on fault-free runs the s2s-lob and
-// rerouting arms produce Results deeply equal to the unmitigated run,
-// time series, latency histogram and localization trace included, once
-// Config.Mitigation is masked.
-func TestInertMitigationMatchesNone(t *testing.T) {
-	type platform struct {
-		topo string
-		w, h int
-	}
-	platforms := []platform{{"mesh", 4, 4}, {"torus", 4, 4}, {"ring", 4, 4}, {"mesh", 8, 8}}
-	for _, p := range platforms {
-		for _, layers := range []bool{false, true} {
-			base := DefaultExperiment()
-			base.Noc.Topo, base.Noc.Width, base.Noc.Height = p.topo, p.w, p.h
-			base.Warmup, base.Measure = 300, 300
-			base.Attack.Enabled = false
-			base.SecureAck, base.Locate, base.RecoverOnConvict = layers, layers, layers
-			want, err := Run(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.Samples) == 0 || want.Final.DeliveredPackets == 0 || (layers && len(want.SuspectTrace) == 0) {
-				t.Fatalf("%s %dx%d: the reference run is empty", p.topo, p.w, p.h)
-			}
-			for _, m := range []Mitigation{S2SLOb, Rerouting} {
-				cfg := base
-				cfg.Mitigation = m
-				if !cfg.MitigationInert() {
-					t.Fatalf("%s on a fault-free run is not inert", m)
-				}
-				got, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got.Config.Mitigation = NoMitigation
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %dx%d layers=%v: %s results differ from none:\n%s\n%s",
-						p.topo, p.w, p.h, layers, m, summarize(got), summarize(want))
-				}
-			}
-		}
-	}
-
-	inert := func(edit func(*ExperimentConfig)) bool {
-		cfg := DefaultExperiment()
-		cfg.Attack.Enabled = false
-		cfg.Mitigation = S2SLOb
-		edit(&cfg)
-		return cfg.MitigationInert()
-	}
-	for _, c := range []struct {
-		name string
-		edit func(*ExperimentConfig)
-	}{
-		{"attack enabled", func(c *ExperimentConfig) { c.Attack.Enabled = true }},
-		{"transient upsets", func(c *ExperimentConfig) { c.TransientBER = 1e-4 }},
-		{"rerouting under attack", func(c *ExperimentConfig) { c.Mitigation, c.Attack.Enabled = Rerouting, true }},
-		{"none", func(c *ExperimentConfig) { c.Mitigation = NoMitigation }},
-		{"tdm-qos", func(c *ExperimentConfig) { c.Mitigation = TDMQoS }},
-		{"e2e-obfuscation", func(c *ExperimentConfig) { c.Mitigation = E2EObfuscation }},
-	} {
-		if inert(c.edit) {
-			t.Errorf("%s: MitigationInert is true", c.name)
 		}
 	}
 }

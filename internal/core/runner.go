@@ -26,7 +26,12 @@ import (
 // A Runner is NOT safe for concurrent use; give each worker its own.
 type Runner struct {
 	arenas map[noc.Config]*arena
+	// twins holds a second arena per platform: RunGroup continues a forked
+	// arm there while the trunk's run stays intact in arenas.
+	twins  map[noc.Config]*arena
 	models map[modelKey]*traffic.Model
+	// trunkRes receives an unrecorded trunk's results (RunGroup).
+	trunkRes Results
 }
 
 // NewRunner returns an empty Runner; arenas are built on first use per
@@ -34,6 +39,7 @@ type Runner struct {
 func NewRunner() *Runner {
 	return &Runner{
 		arenas: map[noc.Config]*arena{},
+		twins:  map[noc.Config]*arena{},
 		models: map[modelKey]*traffic.Model{},
 	}
 }
@@ -112,23 +118,49 @@ type arena struct {
 	evScratch   map[int]locate.LinkEvidence
 	scratch     flit.Packet // reused injection packet (TickInto)
 
-	// Per-point state the hoisted closures read. The closures are created
-	// once at arena construction so installing them per point costs nothing.
-	res         *Results
-	curTDM      *qos.TDM
-	curE2E      *obfe2e.Scrambler
-	trackVictim bool
-	victim      uint8
-	enableAt    uint64
-
+	// run is the simulation in progress on this arena; the hoisted
+	// closures read it. They are created once at arena construction so
+	// installing them per point costs nothing.
+	run         run
 	deliveredFn func(d noc.Delivery)
 	injectFn    func(core int, p *flit.Packet) bool
 }
 
+// run is one simulation in progress on an arena: the resolved
+// configuration and every per-run value the main loop reads. It lives
+// inside its arena, so starting a run allocates nothing, and a trunk's run
+// survives while a forked arm runs on the twin arena.
+type run struct {
+	a        *arena
+	cfg      ExperimentConfig // defaults resolved
+	res      *Results
+	enableAt uint64
+	total    uint64 // Warmup + Measure
+
+	trojans []tasp.Trojan
+	gen     *traffic.Generator
+	tdm     *qos.TDM
+	e2e     *obfe2e.Scrambler
+	ackmon  *detect.AckMonitor
+	tel     *noc.LinkTelemetry
+	eng     *locate.Engine
+
+	trackVictim bool
+	victim      uint8
+	mitigated   bool // s2s-lob: watch the detectors for FirstTrojanAt
+	recoverOn   bool
+	rerouted    bool
+}
+
 // arena returns the reusable platform for an effective network
-// configuration, building it on first use.
-func (r *Runner) arena(cfg noc.Config) (*arena, error) {
-	if a := r.arenas[cfg]; a != nil {
+// configuration, building it on first use; twin selects the platform's
+// second arena.
+func (r *Runner) arena(cfg noc.Config, twin bool) (*arena, error) {
+	arenas := r.arenas
+	if twin {
+		arenas = r.twins
+	}
+	if a := arenas[cfg]; a != nil {
 		return a, nil
 	}
 	net, err := noc.New(cfg)
@@ -155,22 +187,24 @@ func (r *Runner) arena(cfg noc.Config) (*arena, error) {
 		a.wires[i] = NewSecureWire(fault.None, 0, layout)
 	}
 	a.deliveredFn = func(d noc.Delivery) {
-		a.res.Latency.Observe(d.Latency)
-		if a.trackVictim && d.Hdr.DstR == a.victim && a.net.Cycle() >= a.enableAt {
-			a.res.VictimDelivered++
+		s := &a.run
+		s.res.Latency.Observe(d.Latency)
+		if s.trackVictim && d.Hdr.DstR == s.victim && a.net.Cycle() >= s.enableAt {
+			s.res.VictimDelivered++
 		}
 	}
 	a.injectFn = func(core int, p *flit.Packet) bool {
-		if a.curTDM != nil {
-			p.Hdr.VC = a.curTDM.AssignVC(core, p.Hdr.Seq)
+		s := &a.run
+		if s.tdm != nil {
+			p.Hdr.VC = s.tdm.AssignVC(core, p.Hdr.Seq)
 		}
-		if a.curE2E != nil {
+		if s.e2e != nil {
 			p.Hdr.SrcR = uint8(a.cfg.CoreRouter(core)) // key derivation needs src
-			a.curE2E.Apply(p)
+			s.e2e.Apply(p)
 		}
 		return a.net.Inject(core, p)
 	}
-	r.arenas[cfg] = a
+	arenas[cfg] = a
 	return a, nil
 }
 
@@ -343,6 +377,27 @@ func resetResults(res *Results, cfg ExperimentConfig) {
 	res.SuspectTrace = res.SuspectTrace[:0]
 }
 
+// copyFrom copies the results a run has accumulated so far (RunGroup's
+// fork). Config, InfectedLinks and HijackRouter are set by begin from each
+// run's own configuration; the fields finish writes (Final, Throughput,
+// AvgLatency, the HT and wire totals, Detections, TriggerScopes,
+// AckVerdicts, AckChannels, Suspects, SuspectsTelemetry) are still empty
+// mid-run.
+func (res *Results) copyFrom(src *Results) {
+	res.Samples = append(res.Samples[:0], src.Samples...)
+	res.AtEnable = src.AtEnable
+	res.AckFlaggedAt = src.AckFlaggedAt
+	res.ReroutedAt = src.ReroutedAt
+	res.RecoveredAt = src.RecoveredAt
+	res.RecoveredLinks = append(res.RecoveredLinks[:0], src.RecoveredLinks...)
+	res.AtRecover = src.AtRecover
+	res.VictimAtRecover = src.VictimAtRecover
+	res.VictimDelivered = src.VictimDelivered
+	res.FirstTrojanAt = src.FirstTrojanAt
+	res.Latency.CopyFrom(src.Latency)
+	res.SuspectTrace = append(res.SuspectTrace[:0], src.SuspectTrace...)
+}
+
 // RunInto executes one experiment into a caller-owned Results, reusing both
 // the Results' storage and the Runner's arena for the experiment's platform.
 // Repeated same-platform points with the none or s2s-lob mitigations run
@@ -350,18 +405,92 @@ func resetResults(res *Results, cfg ExperimentConfig) {
 // (rerouting), rank suspects (locate) or scramble end-to-end pay their own
 // per-point costs.
 //
-// The behaviour is exactly the old core.Run's: same seeded draw order, same
-// phase structure, same results — enforced by the golden experiment output
-// and the fresh-vs-reused equivalence test.
+// It is a group of one (RunGroup with no arms): the same seeded draw order,
+// phase structure and results as the old core.Run, enforced by the golden
+// experiment output and the fresh-vs-reused equivalence test.
 func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
-	if err := cfg.Noc.Validate(); err != nil {
+	return r.RunGroup(cfg, res, nil, nil)
+}
+
+// RunGroup runs a trunk experiment and arms that differ from it only in
+// their mitigation, simulating each shared prefix once. Every arm is the
+// trunk's run up to the end of the cycle before its DivergesAt: the trunk
+// is simulated to that cycle, its complete state is copied into the
+// platform's twin arena, and only the rest of the arm is simulated there.
+// One twin suffices because arms run in fork order, so arms must be sorted
+// by DivergesAt, each must be forkable (DivergesAt > 0), and the trunk must
+// be unmitigated when there are arms.
+//
+// armRes[i] receives arms[i]'s results and trunkRes the trunk's. A nil
+// trunkRes leaves the trunk unrecorded, so it runs only as far as the last
+// fork. Every Results is exactly what RunInto of the same configuration
+// produces alone (TestForkedArmsMatchFullRuns).
+func (r *Runner) RunGroup(trunk ExperimentConfig, trunkRes *Results, arms []Mitigation, armRes []*Results) error {
+	if len(arms) != len(armRes) {
+		return fmt.Errorf("core: %d arms but %d results", len(arms), len(armRes))
+	}
+	if len(arms) > 0 && trunk.Mitigation != NoMitigation {
+		return fmt.Errorf("core: a group's trunk must be unmitigated, not %s", trunk.Mitigation)
+	}
+	var prev uint64
+	for _, m := range arms {
+		arm := trunk
+		arm.Mitigation = m
+		d := arm.DivergesAt()
+		if d == 0 {
+			return fmt.Errorf("core: %s cannot fork from this configuration's unmitigated run", m)
+		}
+		if d < prev {
+			return fmt.Errorf("core: arm %s is out of fork order", m)
+		}
+		prev = d
+	}
+	res := trunkRes
+	if res == nil {
+		res = &r.trunkRes
+	}
+	t, err := r.begin(trunk, res, false)
+	if err != nil {
 		return err
+	}
+	for i, m := range arms {
+		arm := trunk
+		arm.Mitigation = m
+		if err := t.advance(min(arm.DivergesAt()-1, t.total)); err != nil {
+			return err
+		}
+		s, err := r.begin(arm, armRes[i], true)
+		if err != nil {
+			return err
+		}
+		s.copyFrom(t)
+		if err := s.advance(s.total); err != nil {
+			return err
+		}
+		s.finish()
+	}
+	if trunkRes == nil {
+		return nil
+	}
+	if err := t.advance(t.total); err != nil {
+		return err
+	}
+	t.finish()
+	return nil
+}
+
+// begin sets up a run of cfg into res on the platform's arena (or its twin)
+// and returns it at cycle 0: attack deployment, wire assembly, the
+// mitigation and detection layers, and the traffic generator.
+func (r *Runner) begin(cfg ExperimentConfig, res *Results, twin bool) (*run, error) {
+	if err := cfg.Noc.Validate(); err != nil {
+		return nil, err
 	}
 	model := cfg.Model
 	if model == nil {
 		m, err := r.model(cfg.Benchmark, cfg.Noc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		model = m
 	}
@@ -370,20 +499,13 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 		// buffers between the domains too.
 		cfg.Noc.PartitionRetrans = true
 	}
-	a, err := r.arena(cfg.Noc)
+	a, err := r.arena(cfg.Noc, twin)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 25
-	}
-	if cfg.RerouteDetectDelay <= 0 {
-		cfg.RerouteDetectDelay = 200
-	}
-	enableAt := cfg.Attack.EnableAt
-	if enableAt == 0 {
-		enableAt = uint64(cfg.Warmup)
-	}
+	cfg.resolveDefaults()
+	s := &a.run
+	*s = run{a: a, cfg: cfg, res: res, enableAt: cfg.enableAt(), total: uint64(cfg.Warmup + cfg.Measure)}
 
 	resetResults(res, cfg)
 	net := a.net
@@ -405,7 +527,7 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 	}
 
 	// ---- wire assembly ----
-	mitigated := cfg.Mitigation == S2SLOb
+	s.mitigated = cfg.Mitigation == S2SLOb
 	wantCap := cfg.DetectorHistory
 	if wantCap <= 0 {
 		wantCap = detect.DefaultHistoryCap
@@ -419,9 +541,8 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 		}
 		res.HijackRouter = hijack
 	}
-	var trojans []tasp.Trojan
 	if cfg.Attack.Enabled && len(infected) > 0 {
-		trojans = a.trojanSet(cfg.Attack.Kind, cfg.Attack.Target, yBits, hijack,
+		s.trojans = a.trojanSet(cfg.Attack.Kind, cfg.Attack.Target, yBits, hijack,
 			cfg.Attack.DutyPeriod, cfg.Attack.DutyActive, len(infected))
 	}
 	for i := range a.isInfected {
@@ -434,7 +555,7 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 	for _, l := range net.LinkSlice() {
 		chain := a.chains[l.ID][:0]
 		if a.isInfected[l.ID] && cfg.Attack.Enabled {
-			chain = append(chain, trojans[ti])
+			chain = append(chain, s.trojans[ti])
 			ti++
 		}
 		if cfg.TransientBER > 0 {
@@ -456,7 +577,7 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 		}
 		w := a.wires[l.ID]
 		w.Reset(tap, cfg.Seed^0x10b^uint64(l.ID))
-		w.Mitigated = mitigated
+		w.Mitigated = s.mitigated
 		w.EscalationOrder = cfg.EscalationOrder
 		if w.Detector.Cap() != wantCap {
 			w.Detector = detect.New(wantCap)
@@ -465,60 +586,49 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 	}
 
 	// ---- mitigation-specific setup ----
-	var tdm *qos.TDM
 	if cfg.Mitigation == TDMQoS {
 		if a.tdm == nil {
 			a.tdm = qos.NewTDM(cfg.Noc)
 			a.tdmSchedule = a.tdm.Schedule
 		}
-		tdm = a.tdm
+		s.tdm = a.tdm
 		net.SetLinkSchedule(a.tdmSchedule)
 	}
-	var e2e *obfe2e.Scrambler
 	if cfg.Mitigation == E2EObfuscation {
 		if a.e2e == nil {
 			a.e2e = obfe2e.New(cfg.Seed ^ 0xe2e)
 		} else {
 			a.e2e.Reseed(cfg.Seed ^ 0xe2e)
 		}
-		e2e = a.e2e
+		s.e2e = a.e2e
 	}
 
 	// Delivery accounting: latency distribution plus, for destination-style
 	// targets, the victim application's goodput.
-	trackVictim := false
-	var victim uint8
 	switch cfg.Attack.Target.Kind {
 	case tasp.TargetDest, tasp.TargetDestSrc, tasp.TargetFull:
-		trackVictim, victim = true, cfg.Attack.Target.DstR
+		s.trackVictim, s.victim = true, cfg.Attack.Target.DstR
 	}
-	a.res = res
-	a.curTDM, a.curE2E = tdm, e2e
-	a.trackVictim, a.victim = trackVictim, victim
-	a.enableAt = enableAt
 	net.SetDelivered(a.deliveredFn)
 
 	// ---- localization + secure-ack layers ----
-	var tel *noc.LinkTelemetry
-	var eng *locate.Engine
 	if cfg.Locate {
-		tel = net.EnableTelemetry(0)
-		eng = locate.New(net.Topology(), net.LinkSlice())
+		s.tel = net.EnableTelemetry(0)
+		s.eng = locate.New(net.Topology(), net.LinkSlice())
 		if a.evScratch == nil {
 			a.evScratch = make(map[int]locate.LinkEvidence, len(a.wires))
 		}
 	}
-	var ackmon *detect.AckMonitor
 	if cfg.SecureAck {
 		if a.ackmon == nil {
 			a.ackmon = detect.NewAckMonitor(len(net.LinkSlice()))
 		} else {
 			a.ackmon.Reset()
 		}
-		ackmon = a.ackmon
-		ackmon.DeficitRatio = cfg.AckDeficitRatio
+		s.ackmon = a.ackmon
+		s.ackmon.DeficitRatio = cfg.AckDeficitRatio
 	}
-	recoverOn := cfg.RecoverOnConvict && ackmon != nil
+	s.recoverOn = cfg.RecoverOnConvict && s.ackmon != nil
 	clear(a.disabled)
 	if len(cfg.PredisabledLinks) > 0 {
 		// Post-fault capacity oracle: the links are down (with the safe
@@ -528,62 +638,88 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 			a.disabled[id] = true
 		}
 		if _, err := reroute.ApplySafe(net, a.disabled); err != nil {
-			return fmt.Errorf("predisable: %w", err)
+			return nil, fmt.Errorf("predisable: %w", err)
 		}
 	}
-	gatherEvidence := func() map[int]locate.LinkEvidence {
-		for _, l := range net.LinkSlice() {
-			op := net.LinkOutput(l.ID)
-			// Clamped like the monitor's: sampling skew can put recv
-			// momentarily ahead of sent, and an unsigned wrap here would
-			// swamp the ranking's anomaly term.
-			var ackGap uint64
-			if op.FlitsSent > op.FlitsRecv {
-				ackGap = op.FlitsSent - op.FlitsRecv
-			}
-			ev := locate.LinkEvidence{
-				Class:           a.wires[l.ID].Detector.Classification(),
-				Retransmissions: op.Retransmissions,
-				FlitsSent:       op.FlitsSent,
-				AckGap:          ackGap,
-				RouteViolations: op.RouteViolations,
-			}
-			if ackmon != nil {
-				ev.Ack = ackmon.Class(l.ID)
-			}
-			a.evScratch[l.ID] = ev
-		}
-		return a.evScratch
+
+	s.gen = a.generator(model, cfg.Seed)
+	return s, nil
+}
+
+// copyFrom makes s, freshly begun on another arena with a configuration
+// that differs from src's at most in the mitigation, continue from src's
+// current cycle: the network, every wire's detector, method log, keystream
+// and flow latch, the trojans' FSMs, the traffic generator's draw position
+// and the results so far. Per-run configuration stays s's own: taps,
+// Mitigated flags, escalation orders and callbacks. The ack monitor, the
+// localization layer, transient injectors and reconfiguration state are
+// not copied; DivergesAt declines every configuration that uses them.
+func (s *run) copyFrom(src *run) {
+	s.a.net.CopyFrom(src.a.net)
+	for i, w := range s.a.wires {
+		w.CopyFrom(src.a.wires[i])
 	}
+	for i, t := range s.trojans {
+		t.CopyFrom(src.trojans[i])
+	}
+	s.gen.CopyFrom(src.gen)
+	s.res.copyFrom(src.res)
+	s.rerouted = src.rerouted
+}
 
-	gen := a.generator(model, cfg.Seed)
+// evidence gathers the localization engine's per-link evidence.
+func (s *run) evidence() map[int]locate.LinkEvidence {
+	a, net := s.a, s.a.net
+	for _, l := range net.LinkSlice() {
+		op := net.LinkOutput(l.ID)
+		// Clamped like the monitor's: sampling skew can put recv
+		// momentarily ahead of sent, and an unsigned wrap here would
+		// swamp the ranking's anomaly term.
+		var ackGap uint64
+		if op.FlitsSent > op.FlitsRecv {
+			ackGap = op.FlitsSent - op.FlitsRecv
+		}
+		ev := locate.LinkEvidence{
+			Class:           a.wires[l.ID].Detector.Classification(),
+			Retransmissions: op.Retransmissions,
+			FlitsSent:       op.FlitsSent,
+			AckGap:          ackGap,
+			RouteViolations: op.RouteViolations,
+		}
+		if s.ackmon != nil {
+			ev.Ack = s.ackmon.Class(l.ID)
+		}
+		a.evScratch[l.ID] = ev
+	}
+	return a.evScratch
+}
 
-	// ---- main loop ----
-	total := cfg.Warmup + cfg.Measure
-	rerouted := false
-	for c := 0; c < total; c++ {
-		if net.Cycle()+1 == enableAt {
-			for _, ht := range trojans {
+// advance simulates until the network clock reaches cycle to.
+func (s *run) advance(to uint64) error {
+	a, net, cfg, res := s.a, s.a.net, &s.cfg, s.res
+	for net.Cycle() < to {
+		if net.Cycle()+1 == s.enableAt {
+			for _, ht := range s.trojans {
 				ht.SetKillSwitch(true)
 			}
 		}
-		gen.TickInto(&a.scratch, a.injectFn)
+		s.gen.TickInto(&a.scratch, a.injectFn)
 		net.Step()
-		if net.Cycle() == enableAt {
+		if net.Cycle() == s.enableAt {
 			res.AtEnable = net.Counters
 		}
-		if cfg.Mitigation == Rerouting && !rerouted && cfg.Attack.Enabled &&
-			net.Cycle() >= enableAt+uint64(cfg.RerouteDetectDelay) {
-			for _, id := range infected {
+		if cfg.Mitigation == Rerouting && !s.rerouted && cfg.Attack.Enabled &&
+			net.Cycle() >= s.enableAt+uint64(cfg.RerouteDetectDelay) {
+			for _, id := range res.InfectedLinks {
 				a.disabled[id] = true
 			}
 			if _, err := reroute.Apply(net, a.disabled); err != nil {
 				return fmt.Errorf("rerouting baseline: %w", err)
 			}
-			rerouted = true
+			s.rerouted = true
 			res.ReroutedAt = net.Cycle()
 		}
-		if mitigated && res.FirstTrojanAt == 0 {
+		if s.mitigated && res.FirstTrojanAt == 0 {
 			for _, w := range a.wires {
 				if w.Detector.Classification() == detect.Trojan {
 					res.FirstTrojanAt = net.Cycle()
@@ -592,91 +728,104 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 			}
 		}
 		if int(net.Cycle())%cfg.SampleEvery == 0 {
-			s := Sample{Occupancy: net.Occupancy()}
-			if tdm != nil {
-				for d := 0; d < qos.NumDomains; d++ {
-					s.Domain[d] = tdm.OccupancyOf(net, d)
+			if err := s.sample(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sample takes the per-window observations: occupancy, the secure-ack
+// window (and conviction-driven recovery), and the localization trace.
+func (s *run) sample() error {
+	a, net, res, ackmon := s.a, s.a.net, s.res, s.ackmon
+	smp := Sample{Occupancy: net.Occupancy()}
+	if s.tdm != nil {
+		for d := 0; d < qos.NumDomains; d++ {
+			smp.Domain[d] = s.tdm.OccupancyOf(net, d)
+		}
+	}
+	res.Samples = append(res.Samples, smp)
+	if ackmon != nil {
+		for _, l := range net.LinkSlice() {
+			op := net.LinkOutput(l.ID)
+			ackmon.Observe(l.ID, detect.AckObservation{
+				FlitsSent:       op.FlitsSent,
+				FlitsRecv:       op.FlitsRecv,
+				RouteViolations: op.RouteViolations,
+				Blocked:         net.LinkBlocked(l.ID),
+			})
+		}
+		ackmon.FinishWindow()
+		if res.AckFlaggedAt == 0 && ackmon.Flagged() > 0 {
+			res.AckFlaggedAt = net.Cycle()
+		}
+		if s.recoverOn {
+			// Conviction-driven recovery: every newly convicted link joins
+			// the cumulative reconfiguration set and the routes rebuild
+			// around it — retransmit-around on the surviving topology.
+			newly := false
+			for _, l := range net.LinkSlice() {
+				if c := ackmon.Class(l.ID); (c == detect.AckDropper || c == detect.AckMisroute) && !a.disabled[l.ID] {
+					a.disabled[l.ID] = true
+					res.RecoveredLinks = append(res.RecoveredLinks, l.ID)
+					newly = true
 				}
 			}
-			res.Samples = append(res.Samples, s)
-			if ackmon != nil {
-				for _, l := range net.LinkSlice() {
-					op := net.LinkOutput(l.ID)
-					ackmon.Observe(l.ID, detect.AckObservation{
-						FlitsSent:       op.FlitsSent,
-						FlitsRecv:       op.FlitsRecv,
-						RouteViolations: op.RouteViolations,
-						Blocked:         net.LinkBlocked(l.ID),
-					})
+			if newly {
+				if res.RecoveredAt == 0 {
+					res.RecoveredAt = net.Cycle()
+					res.AtRecover = net.Counters
+					res.VictimAtRecover = res.VictimDelivered
 				}
-				ackmon.FinishWindow()
-				if res.AckFlaggedAt == 0 && ackmon.Flagged() > 0 {
-					res.AckFlaggedAt = net.Cycle()
-				}
-				if recoverOn {
-					// Conviction-driven recovery: every newly convicted
-					// link joins the cumulative reconfiguration set and the
-					// routes rebuild around it — retransmit-around on the
-					// surviving topology.
-					newly := false
-					for _, l := range net.LinkSlice() {
-						if c := ackmon.Class(l.ID); (c == detect.AckDropper || c == detect.AckMisroute) && !a.disabled[l.ID] {
-							a.disabled[l.ID] = true
-							res.RecoveredLinks = append(res.RecoveredLinks, l.ID)
-							newly = true
-						}
-					}
-					if newly {
-						if res.RecoveredAt == 0 {
-							res.RecoveredAt = net.Cycle()
-							res.AtRecover = net.Counters
-							res.VictimAtRecover = res.VictimDelivered
-						}
-						if _, err := reroute.ApplySafe(net, a.disabled); err != nil {
-							return fmt.Errorf("recover-on-convict: %w", err)
-						}
-					}
-				}
-			}
-			if tel != nil {
-				tel.Sample()
-				if net.Cycle() >= enableAt {
-					ranked := eng.Rank(tel, gatherEvidence())
-					res.SuspectTrace = append(res.SuspectTrace, locate.TraceSample{
-						Cycle:      net.Cycle(),
-						LinkID:     ranked[0].LinkID,
-						Score:      ranked[0].Score,
-						Confidence: ranked[0].Confidence,
-					})
+				if _, err := reroute.ApplySafe(net, a.disabled); err != nil {
+					return fmt.Errorf("recover-on-convict: %w", err)
 				}
 			}
 		}
 	}
+	if s.tel != nil {
+		s.tel.Sample()
+		if net.Cycle() >= s.enableAt {
+			ranked := s.eng.Rank(s.tel, s.evidence())
+			res.SuspectTrace = append(res.SuspectTrace, locate.TraceSample{
+				Cycle:      net.Cycle(),
+				LinkID:     ranked[0].LinkID,
+				Score:      ranked[0].Score,
+				Confidence: ranked[0].Confidence,
+			})
+		}
+	}
+	return nil
+}
 
-	// ---- results ----
+// finish fills the end-of-run results.
+func (s *run) finish() {
+	a, net, cfg, res := s.a, s.a.net, &s.cfg, s.res
 	res.Final = net.Counters
 	if cfg.Measure > 0 {
 		res.Throughput = float64(res.Final.DeliveredPackets-res.AtEnable.DeliveredPackets) / float64(cfg.Measure)
 	}
 	res.AvgLatency = res.Final.AvgLatency()
-	for _, t := range trojans {
-		m, s := t.Stats()
+	for _, t := range s.trojans {
+		m, st := t.Stats()
 		res.HTMatches += m
-		res.HTInjections += s
+		res.HTInjections += st
 	}
-	if ackmon != nil {
+	if s.ackmon != nil {
 		for _, l := range net.LinkSlice() {
-			if c := ackmon.Class(l.ID); c != detect.AckHealthy {
+			if c := s.ackmon.Class(l.ID); c != detect.AckHealthy {
 				res.AckVerdicts[l.ID] = c
-				if ch := ackmon.Channel(l.ID); ch != detect.ChannelNone {
+				if ch := s.ackmon.Channel(l.ID); ch != detect.ChannelNone {
 					res.AckChannels[l.ID] = ch
 				}
 			}
 		}
 	}
-	if eng != nil {
-		res.Suspects = eng.Rank(tel, gatherEvidence())
-		res.SuspectsTelemetry = eng.RankWeighted(locate.TelemetryWeights(), tel, nil)
+	if s.eng != nil {
+		res.Suspects = s.eng.Rank(s.tel, s.evidence())
+		res.SuspectsTelemetry = s.eng.RankWeighted(locate.TelemetryWeights(), s.tel, nil)
 	}
 	for _, l := range net.LinkSlice() {
 		w := a.wires[l.ID]
@@ -688,5 +837,4 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 			res.TriggerScopes[l.ID] = w.Detector.TriggerScope()
 		}
 	}
-	return nil
 }

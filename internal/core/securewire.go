@@ -7,6 +7,8 @@
 package core
 
 import (
+	"maps"
+
 	"tasp/internal/bist"
 	"tasp/internal/detect"
 	"tasp/internal/ecc"
@@ -104,6 +106,21 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 	clear(w.flows)
 	w.Corrected, w.Dropped, w.Swallowed, w.Obfuscated = 0, 0, 0, 0
 	w.BISTScans, w.StallCycles = 0, 0
+}
+
+// CopyFrom makes the wire's run-time state a copy of src's: the detector,
+// the method log, the keystream position, the flow latch and the counters.
+// The tap, Mitigated and EscalationOrder are per-run configuration the
+// runner installs, so a forked arm keeps its own. Both wires must belong to
+// networks of the same layout.
+func (w *SecureWire) CopyFrom(src *SecureWire) {
+	w.Detector.CopyFrom(src.Detector)
+	w.Log.CopyFrom(src.Log)
+	w.key.CopyFrom(src.key)
+	clear(w.flows)
+	maps.Copy(w.flows, src.flows)
+	w.Corrected, w.Dropped, w.Swallowed = src.Corrected, src.Dropped, src.Swallowed
+	w.Obfuscated, w.BISTScans, w.StallCycles = src.Obfuscated, src.BISTScans, src.StallCycles
 }
 
 // flowOf resolves the flow a flit belongs to, latching it from head flits.

@@ -18,6 +18,7 @@ package detect
 
 import (
 	"fmt"
+	"maps"
 
 	"tasp/internal/bist"
 	"tasp/internal/lob"
@@ -272,18 +273,56 @@ func (d *Detector) recycle(r *record) { d.free = append(d.free, r) }
 // state. Resident records are recycled rather than dropped, so a reset
 // detector re-reaches steady state without reallocating its history.
 func (d *Detector) Reset() {
-	for i, r := range d.history {
-		delete(d.index, r.key)
-		d.history[i] = nil
-		d.recycle(r)
-	}
-	d.history = d.history[:0]
+	d.clearHistory()
 	d.bistDone = false
 	d.bistReport = bist.Report{}
 	clear(d.granOK)
 	clear(d.granFail)
 	d.FaultEvents, d.RepeatedFaults, d.CleanAfterObf = 0, 0, 0
 	d.class = Healthy
+}
+
+// clearHistory empties the fault-history table, recycling its records.
+func (d *Detector) clearHistory() {
+	for i, r := range d.history {
+		delete(d.index, r.key)
+		d.history[i] = nil
+		d.recycle(r)
+	}
+	d.history = d.history[:0]
+}
+
+// CopyFrom makes d's observations a copy of src's: the fault history in
+// table order, the BIST outcome, the granularity evidence, the counters and
+// the verdict. Records are drawn from d's own recycle list, so no pointer
+// crosses between the detectors and a warm copy allocates nothing. Both
+// detectors must have the same history capacity. The campaign engine forks
+// a simulation with it (DESIGN.md §11).
+func (d *Detector) CopyFrom(src *Detector) {
+	if d.historyCap != src.historyCap {
+		panic("detect: CopyFrom between detectors of different history capacity")
+	}
+	d.clearHistory()
+	if d.history == nil && len(src.history) > 0 {
+		d.history = make([]*record, 0, d.historyCap)
+	}
+	for _, s := range src.history {
+		r := d.getRecord(s.key)
+		r.faults, r.obfTried = s.faults, s.obfTried
+		r.syndromes = append(r.syndromes, s.syndromes...)
+		d.history = append(d.history, r)
+		d.index[r.key] = r
+	}
+	d.bistDone = src.bistDone
+	stuck := append(d.bistReport.Stuck[:0], src.bistReport.Stuck...)
+	d.bistReport = src.bistReport
+	d.bistReport.Stuck = stuck
+	clear(d.granOK)
+	maps.Copy(d.granOK, src.granOK)
+	clear(d.granFail)
+	maps.Copy(d.granFail, src.granFail)
+	d.FaultEvents, d.RepeatedFaults, d.CleanAfterObf = src.FaultEvents, src.RepeatedFaults, src.CleanAfterObf
+	d.class = src.class
 }
 
 // HistoryLen reports the current fault-history occupancy.

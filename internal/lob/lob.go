@@ -15,6 +15,7 @@ package lob
 
 import (
 	"fmt"
+	"maps"
 
 	"tasp/internal/ecc"
 	"tasp/internal/flit"
@@ -184,6 +185,9 @@ func NewKeystream(seed uint64) *Keystream { return &Keystream{rng: xrand.New(see
 // reseeded together, exactly as they must be constructed together.
 func (k *Keystream) Reseed(seed uint64) { k.rng.Seed(seed) }
 
+// CopyFrom moves k to the position src has reached in its stream.
+func (k *Keystream) CopyFrom(src *Keystream) { *k.rng = *src.rng }
+
 // Next produces the next 72-bit keystream word.
 func (k *Keystream) Next() ecc.Codeword {
 	return ecc.Codeword{Lo: k.rng.Uint64(), Hi: uint8(k.rng.Uint64())}
@@ -313,6 +317,14 @@ func (l *MethodLog) Record(k FlowKey, c Choice) { l.known[k] = c }
 func (l *MethodLog) Reset() {
 	clear(l.known)
 	l.Hits = 0
+}
+
+// CopyFrom makes l's logged flows and hit counter a copy of src's, reusing
+// l's table.
+func (l *MethodLog) CopyFrom(src *MethodLog) {
+	clear(l.known)
+	maps.Copy(l.known, src.known)
+	l.Hits = src.Hits
 }
 
 // Forget drops a logged choice (when it stops working, e.g. the trojan's

@@ -130,6 +130,11 @@ type Network struct {
 	// refPacketFlits is the packet size used to judge "core full" bins.
 	refPacketFlits int
 
+	// stall is Config.StallThreshold with its default resolved: the
+	// progress-free cycles after which a port with waiting work counts as
+	// blocked (Occupancy, LinkBlocked and the telemetry tap).
+	stall uint64
+
 	// schedule, when set, gates link traversals by (cycle, vc): TDM QoS
 	// baselines partition link bandwidth between domains with it. A nil
 	// schedule admits everything.
@@ -151,7 +156,10 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	topo := cfg.Topology()
-	n := &Network{cfg: cfg, layout: cfg.Layout(), topo: topo, refPacketFlits: 5}
+	n := &Network{cfg: cfg, layout: cfg.Layout(), topo: topo, refPacketFlits: 5, stall: 50}
+	if cfg.StallThreshold != 0 {
+		n.stall = uint64(cfg.StallThreshold)
+	}
 	n.route = RouteTable(topo)
 	n.baseRoute = n.route
 	n.routePristine = true
@@ -344,15 +352,8 @@ func (n *Network) LinkDisabled(linkID int) bool {
 // (blocked ports explain missing deliveries) from in-flight loss (a growing
 // sent/received gap on a link that is demonstrably flowing).
 func (n *Network) LinkBlocked(linkID int) bool {
-	stall := uint64(n.cfg.StallThreshold)
-	if stall == 0 {
-		stall = 50
-	}
 	n.repairIfAsleep()
-	l := n.links[linkID]
-	r := n.routers[l.From]
-	op := r.outputs[l.FromPort]
-	return !op.disabled && !r.idle() && n.cycle-op.lastProgress >= stall
+	return n.linkBlocked(n.links[linkID])
 }
 
 // SetRoute replaces the routing function (rerouting baselines install
@@ -662,10 +663,6 @@ func (n *Network) OccupancyWhere(vcIn func(vc int) bool, coreIn func(core int) b
 	if coreIn == nil {
 		coreIn = allCore
 	}
-	stall := uint64(n.cfg.StallThreshold)
-	if stall == 0 {
-		stall = 50
-	}
 	n.repairIfAsleep() // make lastProgress exact inside a sleep stretch
 	o := Occupancy{Cycle: n.cycle}
 	for i, r := range n.routers {
@@ -685,7 +682,7 @@ func (n *Network) OccupancyWhere(vcIn func(vc int) bool, coreIn func(core int) b
 			// Idle routers are skipped by Step, so their lastProgress
 			// clocks are stale by design (wake refreshes them); with no
 			// flits anywhere they cannot be blocked.
-			if p != PortLocal && !op.disabled && !r.idle() && n.cycle-op.lastProgress >= stall {
+			if p != PortLocal && !op.disabled && !r.idle() && n.cycle-op.lastProgress >= n.stall {
 				blocked = true
 			}
 		}

@@ -254,3 +254,27 @@ func (n *Network) wakeAll() {
 		n.sleepUntil = 0
 	}
 }
+
+// copyActivity copies the scheduler-facing state of a whole network: the
+// active sets, global flit counters and the sleep counter
+// (Network.CopyFrom only; the per-router and per-NI copies below carry the
+// mirrored counters and masks alongside the buffers they describe).
+func (n *Network) copyActivity(src *Network) {
+	s, o := n.sched, src.sched
+	copy(s.actIn.w, o.actIn.w)
+	copy(s.actOut.w, o.actOut.w)
+	copy(s.actNI.w, o.actNI.w)
+	s.flitsIn, s.flitsParked, s.flitsNI = o.flitsIn, o.flitsParked, o.flitsNI
+	n.sleepUntil = src.sleepUntil
+}
+
+// copyActivity copies a router's activity counters and occupancy/request
+// masks (Router.copyFrom only).
+func (r *Router) copyActivity(src *Router) {
+	r.inFlits, r.parked = src.inFlits, src.parked
+	r.occ, r.reqVA = src.occ, src.reqVA
+	r.routedTo = src.routedTo
+}
+
+// copyActivity copies an NI's flit counter (NI.copyFrom only).
+func (ni *NI) copyActivity(src *NI) { ni.total = src.total }

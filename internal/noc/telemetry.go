@@ -16,8 +16,7 @@ const DefaultTelemetryDepth = 64
 // The tap is observation-only: it reads router state and never perturbs the
 // simulation, so enabling it cannot change any experiment's outcome.
 type LinkTelemetry struct {
-	net   *Network
-	stall uint64
+	net *Network
 
 	// The history ring: depth rows, words uint64 words per row, one bit per
 	// link. Row i of the ring is ring[i*words : (i+1)*words].
@@ -53,19 +52,13 @@ func (n *Network) EnableTelemetry(depth int) *LinkTelemetry {
 	if depth <= 0 {
 		depth = DefaultTelemetryDepth
 	}
-	stall := uint64(n.cfg.StallThreshold)
-	if stall == 0 {
-		stall = 50
-	}
 	words := (len(n.links) + 63) / 64
 	if t := n.telemetry; t != nil && t.depth == depth && t.words == words && len(t.firstBlocked) == len(n.links) {
-		t.stall = stall
 		t.Reset()
 		return t
 	}
 	t := &LinkTelemetry{
 		net:          n,
-		stall:        stall,
 		depth:        depth,
 		words:        words,
 		ring:         make([]uint64, depth*words),
@@ -111,10 +104,10 @@ func (t *LinkTelemetry) Reset() {
 // progress for the stall threshold. Mirrors OccupancyWhere's BlockedRouters
 // criterion (idle routers are skipped by Step so their progress clocks are
 // stale by design; with no flits anywhere they cannot be blocked).
-func (n *Network) linkBlocked(l LinkInfo, stall uint64) bool {
+func (n *Network) linkBlocked(l LinkInfo) bool {
 	r := n.routers[l.From]
 	op := r.outputs[l.FromPort]
-	return !op.disabled && !r.idle() && n.cycle-op.lastProgress >= stall
+	return !op.disabled && !r.idle() && n.cycle-op.lastProgress >= n.stall
 }
 
 // Sample records one blocked-port snapshot at the network's current cycle.
@@ -128,7 +121,7 @@ func (t *LinkTelemetry) Sample() {
 	}
 	cycle := n.cycle
 	for id := range n.links {
-		if n.linkBlocked(n.links[id], t.stall) {
+		if n.linkBlocked(n.links[id]) {
 			row[id/64] |= 1 << (id % 64)
 			t.blockedCount[id]++
 			if t.firstBlocked[id] == 0 {

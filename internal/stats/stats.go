@@ -37,6 +37,12 @@ func (h *Histogram) Reset() {
 	h.min = math.MaxUint64
 }
 
+// CopyFrom makes h a copy of src, reusing h's bucket storage.
+func (h *Histogram) CopyFrom(src *Histogram) {
+	h.buckets = append(h.buckets[:0], src.buckets...)
+	h.count, h.sum, h.max, h.min = src.count, src.sum, src.max, src.min
+}
+
 // bucketOf maps a sample to its bucket index.
 func bucketOf(v uint64) int {
 	b := 0

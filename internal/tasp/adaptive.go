@@ -94,6 +94,13 @@ func (d *ThrottledDropper) Reset() {
 	d.Matches, d.Drops = 0, 0
 }
 
+// CopyFrom implements Trojan.
+func (d *ThrottledDropper) CopyFrom(src Trojan) {
+	s := src.(*ThrottledDropper)
+	d.trigger.copyFrom(&s.trigger)
+	d.Matches, d.Drops = s.Matches, s.Drops
+}
+
 // Strike implements fault.Adversary: swallow matched heads while on duty,
 // forward everything else (including off-duty sightings) untouched.
 func (d *ThrottledDropper) Strike(cycle uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, fault.Outcome) {
@@ -180,6 +187,14 @@ func (d *ColludingDropper) Stats() (uint64, uint64) { return d.Matches, d.Drops 
 func (d *ColludingDropper) Reset() {
 	d.resetFSM()
 	d.Matches, d.Drops = 0, 0
+}
+
+// CopyFrom implements Trojan. The role is configuration, assigned by the
+// deployer.
+func (d *ColludingDropper) CopyFrom(src Trojan) {
+	s := src.(*ColludingDropper)
+	d.trigger.copyFrom(&s.trigger)
+	d.Matches, d.Drops = s.Matches, s.Drops
 }
 
 // Strike implements fault.Adversary: swallow matched heads during the

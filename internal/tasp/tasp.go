@@ -278,6 +278,14 @@ func (h *HT) Reset() {
 	h.Matches, h.Injections = 0, 0
 }
 
+// CopyFrom implements Trojan.
+func (h *HT) CopyFrom(src Trojan) {
+	s := src.(*HT)
+	h.trigger.copyFrom(&s.trigger)
+	h.plState = s.plState
+	h.Matches, h.Injections = s.Matches, s.Injections
+}
+
 // Kind implements Trojan.
 func (h *HT) Kind() Kind { return KindFlip }
 

@@ -95,6 +95,11 @@ type Trojan interface {
 	// Reset rewinds the FSM and counters to the post-construction state
 	// without allocating (arena reuse).
 	Reset()
+	// CopyFrom makes the FSM, payload state and counters a copy of src's,
+	// which must be a trojan of the same family built for the same target,
+	// layout and duty cycle: the configuration is not copied. Simulation
+	// arenas fork a run with it.
+	CopyFrom(src Trojan)
 }
 
 // trigger is the shared TASP trigger architecture: the externally driven
@@ -138,6 +143,10 @@ func (t *trigger) resetFSM() {
 	t.killsw = false
 	t.state = Idle
 }
+
+// copyFrom copies the kill switch and FSM state; the target and compiled
+// taps are configuration.
+func (t *trigger) copyFrom(src *trigger) { t.killsw, t.state = src.killsw, src.state }
 
 // matches runs the comparator over the codeword: every tapped wire must
 // carry its expected value. Head qualification happens on the link's
@@ -191,6 +200,13 @@ func (d *Dropper) Reset() {
 	d.Matches, d.Drops = 0, 0
 }
 
+// CopyFrom implements Trojan.
+func (d *Dropper) CopyFrom(src Trojan) {
+	s := src.(*Dropper)
+	d.trigger.copyFrom(&s.trigger)
+	d.Matches, d.Drops = s.Matches, s.Drops
+}
+
 // Strike implements fault.Adversary: swallow matched heads, forward
 // everything else untouched.
 func (d *Dropper) Strike(_ uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, fault.Outcome) {
@@ -239,6 +255,13 @@ func (m *Misrouter) Stats() (uint64, uint64) { return m.Matches, m.Rewrites }
 func (m *Misrouter) Reset() {
 	m.resetFSM()
 	m.Matches, m.Rewrites = 0, 0
+}
+
+// CopyFrom implements Trojan.
+func (m *Misrouter) CopyFrom(src Trojan) {
+	s := src.(*Misrouter)
+	m.trigger.copyFrom(&s.trigger)
+	m.Matches, m.Rewrites = s.Matches, s.Rewrites
 }
 
 // Strike implements fault.Adversary: rewrite the destination field of

@@ -258,6 +258,16 @@ func (g *Generator) Reset(seed uint64) {
 	}
 }
 
+// CopyFrom moves g to the point src has reached in its draw stream. Both
+// generators must draw from the same model.
+func (g *Generator) CopyFrom(src *Generator) {
+	if g.m != src.m {
+		panic("traffic: CopyFrom between generators of different models")
+	}
+	*g.rng = *src.rng
+	copy(g.seq, src.seq)
+}
+
 // Model returns the model the generator draws from.
 func (g *Generator) Model() *Model { return g.m }
 
