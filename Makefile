@@ -74,7 +74,10 @@ golden-check:
 # worker and at three. A worker-count diff cannot catch a fork that is
 # wrong at every worker count, so sweep-1080.json (trunks with forked
 # s2s-lob and rerouting arms) must also match the SHA-256 of the output of
-# a build that simulated every point in full (~10s).
+# a build that simulated every point in full. defend.json pins the records
+# of the defence stack (secure-ack and locate under every trojan family on
+# the 4x4 and 8x8 mesh and torus) to the digest of the output before the
+# router phases were reworked to visit only pending VCs (~20s in all).
 CAMPAIGN_CHECK_DIR ?= /tmp/campaign-check
 campaign-check:
 	mkdir -p $(CAMPAIGN_CHECK_DIR)
@@ -82,15 +85,15 @@ campaign-check:
 	$(CAMPAIGN_CHECK_DIR)/campaign run -spec specs/cross-topology.json -quiet -workers 1 -out $(CAMPAIGN_CHECK_DIR)/w1.jsonl
 	$(CAMPAIGN_CHECK_DIR)/campaign run -spec specs/cross-topology.json -quiet -workers 3 -out $(CAMPAIGN_CHECK_DIR)/w3.jsonl
 	diff -u $(CAMPAIGN_CHECK_DIR)/w1.jsonl $(CAMPAIGN_CHECK_DIR)/w3.jsonl
-	@for w in 1 3; do \
-		$(CAMPAIGN_CHECK_DIR)/campaign run -spec specs/sweep-1080.json -quiet -workers $$w -out $(CAMPAIGN_CHECK_DIR)/sweep-w$$w.jsonl || exit 1; \
-		got=$$(sha256sum < $(CAMPAIGN_CHECK_DIR)/sweep-w$$w.jsonl | cut -d' ' -f1); \
-		want=$$(cat testdata/golden/campaign-sweep-1080.sha256); \
+	@for s in sweep-1080 defend; do for w in 1 3; do \
+		$(CAMPAIGN_CHECK_DIR)/campaign run -spec specs/$$s.json -quiet -workers $$w -out $(CAMPAIGN_CHECK_DIR)/$$s-w$$w.jsonl || exit 1; \
+		got=$$(sha256sum < $(CAMPAIGN_CHECK_DIR)/$$s-w$$w.jsonl | cut -d' ' -f1); \
+		want=$$(cat testdata/golden/campaign-$$s.sha256); \
 		if [ "$$got" != "$$want" ]; then \
-			echo "sweep-1080 at $$w workers: sha256 $$got, golden $$want"; exit 1; \
+			echo "$$s at $$w workers: sha256 $$got, golden $$want"; exit 1; \
 		fi; \
-		echo "sweep-1080 at $$w workers matches the golden digest"; \
-	done
+		echo "$$s at $$w workers matches the golden digest"; \
+	done; done
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx ./...

@@ -47,11 +47,13 @@ func (l *stepLoad) inject() {
 	}
 }
 
-// benchUniform measures loaded Step on a size x size concentrated mesh under
-// uniform traffic at the given per-core injection rate, reporting the mean
-// number of in-network flits alongside the timing.
-func benchUniform(b *testing.B, size int, rate float64) {
+// benchUniform measures loaded Step on a size x size concentrated mesh (or
+// torus, for topo "torus") under uniform traffic at the given per-core
+// injection rate, reporting the mean number of in-network flits alongside
+// the timing.
+func benchUniform(b *testing.B, topo string, size int, rate float64) {
 	cfg := DefaultConfig()
+	cfg.Topo = topo
 	cfg.Width, cfg.Height = size, size
 	n, err := New(cfg)
 	if err != nil {
@@ -95,9 +97,13 @@ func BenchmarkNetworkStep(b *testing.B) {
 	// longer average path, so the number of flits in flight — reported as a
 	// metric — stays comparable across mesh sizes: with the event-driven
 	// core, Step cost should track that metric, not the router count.
-	b.Run("uniform", func(b *testing.B) { benchUniform(b, 4, 0.02) })
-	b.Run("uniform-8x8", func(b *testing.B) { benchUniform(b, 8, 0.0034) })
-	b.Run("uniform-16x16", func(b *testing.B) { benchUniform(b, 16, 0.00048) })
+	b.Run("uniform", func(b *testing.B) { benchUniform(b, "", 4, 0.02) })
+	b.Run("uniform-8x8", func(b *testing.B) { benchUniform(b, "", 8, 0.0034) })
+	b.Run("uniform-16x16", func(b *testing.B) { benchUniform(b, "", 16, 0.00048) })
+	// The 8x8 torus at the 8x8 mesh's rate: its wraparound links carry
+	// dateline VC classes, so VA grants packets VCs other than their input
+	// VC (the outVC that RC resolves).
+	b.Run("uniform-8x8-torus", func(b *testing.B) { benchUniform(b, "torus", 8, 0.0034) })
 
 	// drain: pre-loaded network stepping with no new injection — the pure
 	// Step cost with in-flight traffic.

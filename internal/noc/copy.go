@@ -50,14 +50,14 @@ func (n *Network) CopyFrom(src *Network) {
 // The wire, the upstream port pointers and the scheduler pointer are
 // structure, not state.
 func (r *Router) copyFrom(src *Router) {
+	for i := range r.inputs {
+		d, s := &r.inputs[i], &src.inputs[i]
+		//nocvet:allowalloc bounded: occupancy is credit-limited to BufDepth and the array is pre-sized to it
+		d.buf = append(d.buf[:0], s.buf...)
+		d.head = s.head
+		d.routed, d.route, d.allocated, d.outVC = s.routed, s.route, s.allocated, s.outVC
+	}
 	for p := 0; p < r.numPorts; p++ {
-		for v := range r.inputs[p] {
-			d, s := &r.inputs[p][v], &src.inputs[p][v]
-			//nocvet:allowalloc bounded: occupancy is credit-limited to BufDepth and the array is pre-sized to it
-			d.buf = append(d.buf[:0], s.buf...)
-			d.head = s.head
-			d.routed, d.route, d.allocated, d.outVC = s.routed, s.route, s.allocated, s.outVC
-		}
 		d, s := r.outputs[p], src.outputs[p]
 		//nocvet:allowalloc bounded: entries is pre-sized to retransCap at construction
 		d.entries = append(d.entries[:0], s.entries...)

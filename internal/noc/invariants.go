@@ -37,6 +37,11 @@ import "fmt"
 //  9. Drop accounting: the DroppedFlits total equals the sum of its
 //     per-cause buckets (retransmission exhaustion, in-flight swallow,
 //     orphan retirement, reconfiguration).
+//  10. Pending VC allocation: every VC in reqVA holds the downstream VC
+//     (outVC) its route, lane and destination call for under the current
+//     VC-class tables, since VA acquires it without looking again; and the
+//     round-robin pointers lie in [0, numPorts*vcs], the range in which
+//     the arbitration walks need no reduction.
 func (n *Network) CheckInvariants() error {
 	c := n.Counters
 	if sum := c.DroppedRetrans + c.DroppedInFlight + c.DroppedOrphan + c.DroppedReconfig; c.DroppedFlits != sum {
@@ -46,6 +51,10 @@ func (n *Network) CheckInvariants() error {
 	for _, r := range n.routers {
 		for p := 0; p < r.numPorts; p++ {
 			op := r.outputs[p]
+			if lim := r.numPorts * r.vcs; op.saPtr > lim || op.vaPtr > lim {
+				return fmt.Errorf("r%d %s: round-robin pointers sa %d / va %d past %d",
+					r.id, PortName(p), op.saPtr, op.vaPtr, lim)
+			}
 			if op.disabled {
 				continue
 			}
@@ -71,7 +80,7 @@ func (n *Network) CheckInvariants() error {
 			l := n.links[op.linkID]
 			down := n.routers[l.To]
 			for v := 0; v < n.cfg.VCs; v++ {
-				occ := down.inputs[l.ToPort][v].size()
+				occ := down.inputs[down.occBit(l.ToPort, v)].size()
 				inflight := 0
 				for _, e := range op.entries {
 					if int(e.vc) == v {
@@ -84,30 +93,37 @@ func (n *Network) CheckInvariants() error {
 				}
 			}
 		}
-		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				ivc := &r.inputs[p][v]
-				if ivc.size() > n.cfg.BufDepth {
-					return fmt.Errorf("r%d %s vc%d: input holds %d > depth %d",
-						r.id, PortName(p), v, ivc.size(), n.cfg.BufDepth)
+		inFlits, parked := 0, 0
+		for i := range r.inputs {
+			ivc := &r.inputs[i]
+			p, v := int(ivc.port), int(ivc.vc)
+			inFlits += ivc.size()
+			if ivc.size() > n.cfg.BufDepth {
+				return fmt.Errorf("r%d %s vc%d: input holds %d > depth %d",
+					r.id, PortName(p), v, ivc.size(), n.cfg.BufDepth)
+			}
+			f := ivc.front()
+			if f != nil && !f.f.IsHead() && !ivc.routed {
+				// Tolerated transiently after link disabling or an
+				// in-flight head swallow (orphans are retired by the next
+				// RC phase); flag only when neither beheading cause has
+				// occurred.
+				if !n.anyDisabled() && n.Counters.DroppedInFlight == 0 {
+					return fmt.Errorf("r%d %s vc%d: orphan body flit pkt %d at front",
+						r.id, PortName(p), v, f.f.PacketID)
 				}
-				if f := ivc.front(); f != nil && !f.f.IsHead() && !ivc.routed {
-					// Tolerated transiently after link disabling or an
-					// in-flight head swallow (orphans are retired by the next
-					// RC phase); flag only when neither beheading cause has
-					// occurred.
-					if !n.anyDisabled() && n.Counters.DroppedInFlight == 0 {
-						return fmt.Errorf("r%d %s vc%d: orphan body flit pkt %d at front",
-							r.id, PortName(p), v, f.f.PacketID)
-					}
+			}
+			if r.reqVA&(1<<uint(i)) != 0 && ivc.routed && f != nil {
+				// VA trusts the downstream VC that RC resolved (and
+				// ReclassifyVCs refreshed) for a pending head.
+				want := r.outputs[ivc.route].outVCFor(r.vcs, v, int(n.layout.DstOf(f.f.Payload)))
+				if int(ivc.outVC) != want {
+					return fmt.Errorf("r%d %s vc%d: pending head pkt %d holds outVC %d, route %s says %d",
+						r.id, PortName(p), v, f.f.PacketID, ivc.outVC, PortName(ivc.route), want)
 				}
 			}
 		}
-		inFlits, parked := 0, 0
 		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				inFlits += r.inputs[p][v].size()
-			}
 			parked += len(r.outputs[p].entries)
 		}
 		if r.inFlits != inFlits || r.parked != parked {
@@ -127,18 +143,16 @@ func (n *Network) CheckInvariants() error {
 func (r *Router) checkMasks() error {
 	var occ, reqVA uint64
 	var routedTo [MaxPorts]uint64
-	for p := 0; p < r.numPorts; p++ {
-		for v := range r.inputs[p] {
-			ivc := &r.inputs[p][v]
-			bit := uint64(1) << r.occBit(p, v)
-			if ivc.size() > 0 {
-				occ |= bit
-			}
-			if ivc.routed {
-				routedTo[ivc.route] |= bit
-				if f := ivc.front(); f != nil && f.f.IsHead() && !ivc.allocated {
-					reqVA |= bit
-				}
+	for i := range r.inputs {
+		ivc := &r.inputs[i]
+		bit := uint64(1) << uint(i)
+		if ivc.size() > 0 {
+			occ |= bit
+		}
+		if ivc.routed {
+			routedTo[ivc.route] |= bit
+			if f := ivc.front(); f != nil && f.f.IsHead() && !ivc.allocated {
+				reqVA |= bit
 			}
 		}
 	}

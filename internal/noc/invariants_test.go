@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"testing"
 
 	"tasp/internal/ecc"
@@ -197,6 +198,121 @@ func TestInvariantCatchesStaleOccBit(t *testing.T) {
 	r.occ |= 1 << r.occBit(PortEast, 1)
 	if err := n.CheckInvariants(); err == nil {
 		t.Fatal("stale occ bit not caught")
+	}
+}
+
+// TestInvariantCatchesStaleOutVC plants a wrong downstream VC on a head
+// waiting for VA: VA would acquire a VC its route does not call for.
+func TestInvariantCatchesStaleOutVC(t *testing.T) {
+	n := mkNet(t)
+	load := newStepLoad(n, 1, 0.05)
+	for c := 0; c < 500; c++ {
+		load.inject()
+		n.Step()
+		for _, r := range n.routers {
+			if r.reqVA == 0 {
+				continue
+			}
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("cycle %d, before planting: %v", c, err)
+			}
+			ivc := &r.inputs[bits.TrailingZeros64(r.reqVA)]
+			ivc.outVC = uint8((int(ivc.outVC) + 1) % n.cfg.VCs)
+			if err := n.CheckInvariants(); err == nil {
+				t.Fatal("stale outVC not caught")
+			}
+			return
+		}
+	}
+	t.Fatal("no head waited for VA: the stale-outVC case was not exercised")
+}
+
+// TestInvariantCatchesRunawayPointer plants a switch-allocation pointer past
+// the VC count, outside the range the arbitration walk handles unreduced.
+func TestInvariantCatchesRunawayPointer(t *testing.T) {
+	n := mkNet(t)
+	r := n.routers[1]
+	r.outputs[PortWest].saPtr = r.numPorts*r.vcs + 1
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("runaway saPtr not caught")
+	}
+}
+
+// TestReclassifyRefreshesPendingOutVC rewrites the dateline VC-class tables
+// while a routed head waits for VA, at a port where the rewrite moves its
+// destination to the other class. RC resolved the head's downstream VC under
+// the old tables; it must be granted a VC in the class half the new tables
+// demand, and the network must stay consistent afterwards.
+func TestReclassifyRefreshesPendingOutVC(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"ring", func(c *Config) { c.Topo = "ring"; c.Width, c.Height = 8, 1 }},
+		{"torus", func(c *Config) { c.Topo = "torus" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.mut(&cfg)
+			// ref carries the tables ReclassifyVCs builds for the default
+			// routes, which it computes from the routes alone.
+			ref, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.ReclassifyVCs()
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			load := newStepLoad(n, 5, 0.08)
+			var (
+				r            *Router
+				ivc          *inputVC
+				pkt          uint64
+				oldVC, newVC int
+			)
+			for c := 0; c < 2000 && ivc == nil; c++ {
+				load.inject()
+				n.Step()
+				for _, rr := range n.routers {
+					for m := rr.reqVA; m != 0 && ivc == nil; m &= m - 1 {
+						cand := &rr.inputs[bits.TrailingZeros64(m)]
+						dst := int(n.layout.DstOf(cand.front().f.Payload))
+						ov := ref.routers[rr.id].outputs[cand.route].outVCFor(cfg.VCs, int(cand.vc), dst)
+						if ov != int(cand.outVC) {
+							r, ivc, pkt = rr, cand, cand.front().f.PacketID
+							oldVC, newVC = int(cand.outVC), ov
+						}
+					}
+				}
+			}
+			if ivc == nil {
+				t.Fatal("no pending head changed class under the rebuilt tables")
+			}
+			n.ReclassifyVCs()
+			op := r.outputs[ivc.route]
+			for c := 0; op.vcOwner[newVC] != pkt+1; c++ {
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("cycle %d after ReclassifyVCs: %v", c, err)
+				}
+				if op.vcOwner[oldVC] == pkt+1 {
+					t.Fatalf("r%d %s: pkt %d granted vc%d of the old class, want vc%d",
+						r.id, PortName(ivc.route), pkt, oldVC, newVC)
+				}
+				if c == 1000 {
+					t.Fatalf("r%d %s: pkt %d not granted vc%d within 1000 cycles", r.id, PortName(ivc.route), pkt, newVC)
+				}
+				n.Step()
+			}
+			for c := 0; c < 500; c++ {
+				load.inject()
+				n.Step()
+				if err := n.CheckInvariants(); err != nil {
+					t.Fatalf("cycle %d after the grant: %v", c, err)
+				}
+			}
+		})
 	}
 }
 

@@ -320,22 +320,20 @@ func (n *Network) DisableLink(linkID int) {
 	for v := range op.vcOwner {
 		op.vcOwner[v] = 0
 	}
-	for p := 0; p < r.numPorts; p++ {
-		for v := range r.inputs[p] {
-			ivc := &r.inputs[p][v]
-			if ivc.routed && ivc.route == l.FromPort {
-				dropped := ivc.clear()
-				r.clearOccupied(r.occBit(p, v))
-				r.unrouteInput(l.FromPort, r.occBit(p, v))
-				n.Counters.DroppedFlits += uint64(dropped)
-				n.Counters.DroppedReconfig += uint64(dropped)
-				r.loseIn(dropped)
-				if up := r.ups[p]; up != nil {
-					up.credits[v] += dropped // freed slots
-				}
-				ivc.routed = false
-				ivc.allocated = false
+	for i := range r.inputs {
+		ivc := &r.inputs[i]
+		if ivc.routed && ivc.route == l.FromPort {
+			dropped := ivc.clear()
+			r.clearOccupied(uint(i))
+			r.unrouteInput(l.FromPort, uint(i))
+			n.Counters.DroppedFlits += uint64(dropped)
+			n.Counters.DroppedReconfig += uint64(dropped)
+			r.loseIn(dropped)
+			if up := r.ups[ivc.port]; up != nil {
+				up.credits[ivc.vc] += dropped // freed slots
 			}
+			ivc.routed = false
+			ivc.allocated = false
 		}
 	}
 }
@@ -464,7 +462,7 @@ func (n *Network) Step() {
 	}
 	for wi, w := range s.actIn.w {
 		for ; w != 0; w &= w - 1 {
-			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseVA(&n.layout)
+			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseVA()
 		}
 	}
 	for wi, w := range s.actIn.w {
@@ -667,12 +665,12 @@ func (n *Network) OccupancyWhere(vcIn func(vc int) bool, coreIn func(core int) b
 	o := Occupancy{Cycle: n.cycle}
 	for i, r := range n.routers {
 		blocked := false
-		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				if vcIn(v) {
-					o.InputFlits += r.inputs[p][v].size()
-				}
+		for k := range r.inputs {
+			if vcIn(int(r.inputs[k].vc)) {
+				o.InputFlits += r.inputs[k].size()
 			}
+		}
+		for p := 0; p < r.numPorts; p++ {
 			op := r.outputs[p]
 			for _, e := range op.entries {
 				if vcIn(int(e.vc)) {
@@ -728,23 +726,19 @@ func (n *Network) DebugDump() string {
 	app := func(format string, args ...interface{}) { sb = append(sb, []byte(fmt.Sprintf(format, args...))...) }
 	for _, r := range n.routers {
 		busy := false
+		for i := range r.inputs {
+			busy = busy || !r.inputs[i].empty()
+		}
 		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				if !r.inputs[p][v].empty() {
-					busy = true
-				}
-			}
-			if len(r.outputs[p].entries) > 0 {
-				busy = true
-			}
+			busy = busy || len(r.outputs[p].entries) > 0
 		}
 		if !busy {
 			continue
 		}
 		app("router %d:\n", r.id)
 		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				ivc := &r.inputs[p][v]
+			for v := 0; v < r.vcs; v++ {
+				ivc := &r.inputs[r.occBit(p, v)]
 				f := ivc.front()
 				if f == nil {
 					continue

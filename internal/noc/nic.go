@@ -154,7 +154,7 @@ func (ni *NI) inject(r *Router, cycle uint64) bool {
 		} else if ni.injLock[v] != -1 && ni.injLock[v] != core {
 			continue // VC locked by another core's in-flight packet
 		}
-		if r.inputs[PortLocal][v].size() >= ni.cfg.BufDepth {
+		if r.inputs[r.occBit(PortLocal, v)].size() >= ni.cfg.BufDepth {
 			continue
 		}
 		r.deposit(PortLocal, v, bufFlit{f: f, readyAt: cycle + 1}, cycle)

@@ -320,6 +320,46 @@ func TestDisabledLinkStopsTraffic(t *testing.T) {
 	}
 }
 
+// TestStaleRouteIsRecomputed strands a routed head waiting for VA behind a
+// dead output, then installs a detour: RC must route that head again (the
+// stale-route case) so it is delivered. On the ring, VCs 0 and 2 share a
+// lane, so two heads injected on them toward one destination contend for
+// one downstream VC and the loser waits in VA.
+func TestStaleRouteIsRecomputed(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Topo, cfg.Width, cfg.Height = "ring", 8, 1
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := n.Topology()
+	cw, ccw := topo.Route(0, 1), topo.Route(0, cfg.Width-1)
+	for _, l := range n.Links() {
+		if l.From == 0 && l.FromPort == cw {
+			n.DisableLink(l.ID)
+		}
+	}
+	n.Inject(0, pkt(2, 0, 0, 3))
+	n.Inject(1, pkt(2, 1, 2, 3))
+	n.Run(20)
+	r := n.routers[0]
+	if r.reqVA&r.routedTo[cw] == 0 {
+		t.Fatal("no head waits for VA at the dead port: the stale-route case was not set up")
+	}
+	n.SetRoute(func(router, dst int) int {
+		if dst == 2 && router != 2 {
+			return ccw // the long way round, avoiding the dead link
+		}
+		return topo.Route(router, dst)
+	})
+	n.Run(300)
+	// The head VA granted at the dead port before the detour keeps its VC
+	// there; only the one still waiting can be re-routed.
+	if n.Counters.DeliveredPackets != 1 {
+		t.Fatalf("delivered %d packets, want the re-routed one", n.Counters.DeliveredPackets)
+	}
+}
+
 func TestReroutingAroundDisabledLink(t *testing.T) {
 	n := mkNet(t)
 	var target LinkInfo
@@ -360,8 +400,8 @@ func TestCreditsNeverExceedDepth(t *testing.T) {
 							n.cycle, r.id, PortName(p), v, cr, n.cfg.BufDepth)
 					}
 				}
-				for v := range r.inputs[p] {
-					if got := r.inputs[p][v].size(); got > n.cfg.BufDepth {
+				for v := 0; v < r.vcs; v++ {
+					if got := r.inputs[r.occBit(p, v)].size(); got > n.cfg.BufDepth {
 						t.Fatalf("input VC overflow: %d flits", got)
 					}
 				}

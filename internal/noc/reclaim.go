@@ -63,17 +63,17 @@ func (n *Network) ReclaimTruncated() int {
 	live := map[uint64]bool{}
 	holders := map[uint64]bool{}
 	for _, r := range n.routers {
-		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				ivc := &r.inputs[p][v]
-				for i := ivc.head; i < len(ivc.buf); i++ {
-					f := &ivc.buf[i].f
-					holders[f.PacketID] = true
-					if f.IsTail() {
-						live[f.PacketID] = true
-					}
+		for k := range r.inputs {
+			ivc := &r.inputs[k]
+			for i := ivc.head; i < len(ivc.buf); i++ {
+				f := &ivc.buf[i].f
+				holders[f.PacketID] = true
+				if f.IsTail() {
+					live[f.PacketID] = true
 				}
 			}
+		}
+		for p := 0; p < r.numPorts; p++ {
 			op := r.outputs[p]
 			for i := range op.entries {
 				f := &op.entries[i].f
@@ -123,9 +123,9 @@ func (n *Network) purgePacket(pkt uint64) int {
 	dropped := 0
 	for _, r := range n.routers {
 		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				ivc := &r.inputs[p][v]
+			for v := 0; v < r.vcs; v++ {
 				idx := r.occBit(p, v)
+				ivc := &r.inputs[idx]
 				if ivc.empty() {
 					// Empty but possibly still held mid-stream: the wormhole
 					// state persists head-to-tail even with nothing buffered.

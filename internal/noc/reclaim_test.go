@@ -165,11 +165,9 @@ func TestPurgePacketSparesBystanderVC(t *testing.T) {
 		}
 		n.Step()
 		for _, rr := range n.routers {
-			for p := range rr.inputs {
-				for v := range rr.inputs[p] {
-					if cand := &rr.inputs[p][v]; cand.head > 0 && cand.size() > cand.head {
-						ivc, r = cand, rr
-					}
+			for i := range rr.inputs {
+				if cand := &rr.inputs[i]; cand.head > 0 && cand.size() > cand.head {
+					ivc, r = cand, rr
 				}
 			}
 		}

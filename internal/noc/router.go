@@ -14,9 +14,9 @@ type bufFlit struct {
 }
 
 // inputVC is one virtual-channel FIFO of an input port, plus the wormhole
-// state of the packet currently at its front: the computed route (RC) and
-// whether the downstream VC has been allocated (VA). Both persist from the
-// head flit until the tail is popped.
+// state of the packet currently at its front: the computed route (RC), the
+// downstream VC it will occupy, and whether that VC has been allocated
+// (VA). The state persists from the head flit until the tail is popped.
 //
 // The FIFO uses head-index ring semantics over a single backing array:
 // pop advances head instead of re-slicing (which would retain popped flits
@@ -24,16 +24,22 @@ type bufFlit struct {
 // down to index 0 when the array is exhausted. Steady state is
 // allocation-free once the buffer has grown to BufDepth.
 type inputVC struct {
-	buf       []bufFlit
-	head      int // index of the front flit within buf
+	buf   []bufFlit
+	head  int // index of the front flit within buf
+	route int
+	// outVC is the downstream virtual channel the packet at the front
+	// occupies at output route. It equals the input VC index except on
+	// dateline links of wraparound topologies, where the VC class remap
+	// moves the packet between VC halves (see outputPort.vcClass). RC
+	// resolves it when it routes the head, ReclassifyVCs refreshes it while
+	// the head waits for VA, and VA acquires exactly this VC. Valid while
+	// routed.
+	outVC     uint8
 	routed    bool
-	route     int
 	allocated bool
-	// outVC is the downstream virtual channel VA allocated for the packet
-	// at the front. It equals the input VC index except on dateline links
-	// of wraparound topologies, where the VC class remap moves the packet
-	// between VC halves (see outputPort.vcClass). Valid while allocated.
-	outVC uint8
+	// port and vc are the VC's static coordinates: it is
+	// Router.inputs[port*vcs+vc], the bit of the router's VC masks.
+	port, vc uint8
 }
 
 func (v *inputVC) size() int { return len(v.buf) - v.head }
@@ -180,8 +186,11 @@ func retransCap(cfg *Config) int {
 type Router struct {
 	id       int
 	numPorts int
-	inputs   [][]inputVC
-	outputs  []*outputPort
+	// inputs holds every input VC, VC (p, v) at index p*vcs+v — the same
+	// index as its bit in occ, routedTo and reqVA, so the phases go from a
+	// mask bit to its VC without dividing.
+	inputs  []inputVC
+	outputs []*outputPort
 	// ups[p] is the upstream output port feeding input port p (nil for the
 	// local injection port); credits return there when a slot frees.
 	ups []*outputPort
@@ -223,22 +232,21 @@ func newRouter(id int, cfg Config, ports int) *Router {
 	r := &Router{
 		id:       id,
 		numPorts: ports,
-		inputs:   make([][]inputVC, ports),
+		inputs:   make([]inputVC, ports*cfg.VCs),
 		outputs:  make([]*outputPort, ports),
 		ups:      make([]*outputPort, ports),
 		vcs:      cfg.VCs,
 	}
-	// One contiguous block per router for the output ports (and one for
-	// the input VCs, via the [][]inputVC backing): the LT phase walks all
-	// ports of every active router each cycle, and on big substrates the
-	// pointer-per-port layout was a cache miss per port.
+	for i := range r.inputs {
+		ivc := &r.inputs[i]
+		ivc.buf = make([]bufFlit, 0, cfg.BufDepth)
+		ivc.port, ivc.vc = uint8(i/cfg.VCs), uint8(i%cfg.VCs)
+	}
+	// One contiguous block per router for the output ports: the LT phase
+	// walks all ports of every active router each cycle, and on big
+	// substrates the pointer-per-port layout was a cache miss per port.
 	ops := make([]outputPort, ports)
-	ivcs := make([]inputVC, ports*cfg.VCs)
 	for p := 0; p < ports; p++ {
-		r.inputs[p] = ivcs[p*cfg.VCs : (p+1)*cfg.VCs : (p+1)*cfg.VCs]
-		for v := range r.inputs[p] {
-			r.inputs[p][v].buf = make([]bufFlit, 0, cfg.BufDepth)
-		}
 		op := &ops[p]
 		op.router = id
 		op.port = p
@@ -267,15 +275,15 @@ func (r *Router) idle() bool { return r.inFlits == 0 && r.parked == 0 }
 // counters are cleared through resetActivity (sched.go). Wires are owned by
 // the network and restored by Network.Reset.
 func (r *Router) reset(cfg Config) {
+	for i := range r.inputs {
+		ivc := &r.inputs[i]
+		ivc.buf = ivc.buf[:0]
+		ivc.head = 0
+		ivc.routed, ivc.allocated = false, false
+		ivc.route = 0
+		ivc.outVC = 0
+	}
 	for p := 0; p < r.numPorts; p++ {
-		for v := range r.inputs[p] {
-			ivc := &r.inputs[p][v]
-			ivc.buf = ivc.buf[:0]
-			ivc.head = 0
-			ivc.routed, ivc.allocated = false, false
-			ivc.route = 0
-			ivc.outVC = 0
-		}
 		op := r.outputs[p]
 		op.entries = op.entries[:0]
 		for v := range op.vcOwner {
@@ -308,8 +316,9 @@ func (r *Router) wake(cycle uint64) {
 // deposit pushes a flit into an input VC, waking the router if it was idle.
 func (r *Router) deposit(port, vc int, bf bufFlit, cycle uint64) {
 	r.wake(cycle)
-	r.inputs[port][vc].push(bf)
-	r.markOccupied(r.occBit(port, vc))
+	idx := r.occBit(port, vc)
+	r.inputs[idx].push(bf)
+	r.markOccupied(idx)
 	r.gainIn(1)
 }
 
@@ -321,17 +330,29 @@ func (r *Router) hasWorkFor(port int) bool {
 }
 
 // phaseRC computes routes for head flits that reached the front of their VC
-// buffer (the BW/RC pipeline stage). It also retires debris left by link
-// disabling or in-flight head swallowing: heads whose computed route now
-// points at a dead port are re-routed, and orphaned body/tail flits of
-// truncated packets are dropped.
+// buffer (the BW/RC pipeline stage), and resolves the downstream VC each
+// routed packet will occupy. It also retires debris left by link disabling
+// or in-flight head swallowing: heads whose computed route now points at a
+// dead port are re-routed, and orphaned body/tail flits of truncated
+// packets are dropped.
+//
+// Only VCs where routing can act are visited: occupied VCs with no route
+// (an unrouted head or an orphan at the front) and VA-pending heads routed
+// to a disabled output (a stale route). A VC routed to a live output has
+// nothing to do here until its tail leaves. Both sets come from the masks
+// the router already keeps, and the walk is in the same ascending
+// (port, vc) order as a sweep over every occupied VC.
 func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Counters) {
-	// Walk only the occupied input VCs, in the same ascending (port, vc)
-	// order as the full sweep (bit index == p*vcs+v is monotone in it).
-	for m := r.occ; m != 0; m &= m - 1 {
-		idx := bits.TrailingZeros64(m)
-		p, v := idx/r.vcs, idx%r.vcs
-		ivc := &r.inputs[p][v]
+	var routed, stale uint64
+	for o := 0; o < r.numPorts; o++ {
+		routed |= r.routedTo[o]
+		if s := r.reqVA & r.routedTo[o]; s != 0 && r.outputs[o].disabled {
+			stale |= s
+		}
+	}
+	for m := r.occ&^routed | stale; m != 0; m &= m - 1 {
+		idx := uint(bits.TrailingZeros64(m))
+		ivc := &r.inputs[idx]
 		for {
 			f := ivc.front()
 			if f == nil || f.readyAt > cycle {
@@ -340,32 +361,31 @@ func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Cou
 				// penalty of Figure 7), so route computation waits.
 				break
 			}
-			if !f.f.IsHead() && !ivc.routed {
+			if ivc.routed {
+				ivc.routed = false // stale route to a dead port
+				r.unrouteInput(ivc.route, idx)
+			}
+			if !f.f.IsHead() {
 				// Orphan: its head was dropped with a disabled link or
 				// swallowed in flight by a drop trojan.
 				ivc.pop()
 				r.loseIn(1)
 				cnt.DroppedFlits++
 				cnt.DroppedOrphan++
-				if up := r.ups[p]; up != nil {
-					up.credits[v]++ // freed slot
+				if up := r.ups[ivc.port]; up != nil {
+					up.credits[ivc.vc]++ // freed slot
 				}
 				continue
 			}
-			if f.f.IsHead() && ivc.routed && !ivc.allocated &&
-				r.outputs[ivc.route].disabled {
-				ivc.routed = false // stale route to a dead port
-				r.unrouteInput(ivc.route, uint(idx))
-			}
-			if f.f.IsHead() && !ivc.routed {
-				ivc.route = route(r.id, int(l.DstOf(f.f.Payload)))
-				ivc.routed = true
-				r.routeInput(ivc.route, uint(idx))
-			}
+			dst := int(l.DstOf(f.f.Payload))
+			ivc.route = route(r.id, dst)
+			r.resolveOutVC(ivc, dst)
+			ivc.routed = true
+			r.routeInput(ivc.route, idx)
 			break
 		}
 		if ivc.empty() {
-			r.clearOccupied(uint(idx)) // drained by the orphan drop
+			r.clearOccupied(idx) // drained by the orphan drop
 		}
 	}
 }
@@ -375,35 +395,37 @@ func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Cou
 // the TASP trojan snoops), so allocation normally means acquiring ownership
 // of the same-numbered VC at the chosen output; on dateline links of
 // wraparound topologies the packet's lane is remapped into the VC class the
-// dateline scheme demands (outVCFor). Round-robin across input ports
-// resolves contention.
-func (r *Router) phaseVA(l *flit.Layout) {
-	n := r.numPorts * r.vcs
+// dateline scheme demands. RC resolved that VC (inputVC.outVC), so a retry
+// is a single ownership probe. Round-robin across input ports resolves
+// contention.
+func (r *Router) phaseVA() {
+	if r.reqVA == 0 {
+		return
+	}
 	for o := 0; o < r.numPorts; o++ {
 		// Round-robin over the VCs requesting this output — routed,
 		// unallocated heads bound for o — scanning from vaPtr up, then
 		// wrapping to the bits below it: bit order equals the (vaPtr+k)%n
-		// probe order of a full sweep over the VCs that could be granted.
+		// probe order of a full sweep over the n = numPorts*vcs VCs that
+		// could be granted. vaPtr lies in [0, n] (a granted bit index + 1),
+		// and at n the first segment is empty and the second is all of req,
+		// exactly as at 0, so the pointer needs no reduction mod n.
 		req := r.reqVA & r.routedTo[o]
 		if req == 0 {
 			continue
 		}
 		op := r.outputs[o]
-		ptr := op.vaPtr % n
+		ptr := op.vaPtr
 		m, base := req>>uint(ptr), ptr
 		for pass := 0; pass < 2; pass, m, base = pass+1, req&(uint64(1)<<uint(ptr)-1), 0 {
 			for ; m != 0; m &= m - 1 {
 				idx := base + bits.TrailingZeros64(m)
-				p, v := idx/r.vcs, idx%r.vcs
-				ivc := &r.inputs[p][v]
-				f := ivc.front()
-				ov := op.outVCFor(r.vcs, v, int(l.DstOf(f.f.Payload)))
-				if op.vcOwner[ov] != 0 {
+				ivc := &r.inputs[idx]
+				if op.vcOwner[ivc.outVC] != 0 {
 					continue // downstream VC held by another packet
 				}
-				op.vcOwner[ov] = f.f.PacketID + 1
+				op.vcOwner[ivc.outVC] = ivc.front().f.PacketID + 1
 				ivc.allocated = true
-				ivc.outVC = uint8(ov)
 				r.grantVA(uint(idx))
 				op.vaPtr = idx + 1
 				pass = 2 // one VC allocation per output per cycle
@@ -411,6 +433,12 @@ func (r *Router) phaseVA(l *flit.Layout) {
 			}
 		}
 	}
+}
+
+// resolveOutVC sets the downstream VC the packet at ivc's front, destined
+// for router dst, will occupy at its routed output.
+func (r *Router) resolveOutVC(ivc *inputVC, dst int) {
+	ivc.outVC = uint8(r.outputs[ivc.route].outVCFor(r.vcs, int(ivc.vc), dst))
 }
 
 // outVCFor maps an input VC index to the downstream VC the packet must
@@ -430,17 +458,23 @@ func (op *outputPort) outVCFor(vcs, v, dst int) int {
 // crossbar into the output retransmission buffer. Freed input slots return
 // a credit upstream.
 func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
-	var inputUsed [MaxPorts]bool
-	n := r.numPorts * r.vcs
+	if r.occ&^r.reqVA == 0 {
+		return // every occupied VC's front is a head still waiting for VA
+	}
+	// used masks the VCs of the input ports that already won a grant this
+	// cycle (one crossbar input per port); lane is one port's VC bits.
+	var used uint64
+	lane := uint64(1)<<uint(r.vcs) - 1
 	depth := retransCap(cfg)
 	for o := 0; o < r.numPorts; o++ {
 		// Round-robin over the occupied input VCs routed to this output
-		// (same two-segment mask walk as phaseVA); grants from earlier
-		// output ports have already cleared the bits of drained VCs. A
-		// routed head still waiting for VA cannot win, and reqVA holds
-		// exactly those VCs (invariant #6 of CheckInvariants), so they are
-		// masked out rather than probed.
-		req := r.routedTo[o] & r.occ &^ r.reqVA
+		// (same two-segment mask walk as phaseVA, from saPtr); grants from
+		// earlier output ports have already cleared the bits of drained
+		// VCs and set the used bits of their input ports. A routed head
+		// still waiting for VA cannot win, and reqVA holds exactly those
+		// VCs (invariant #6 of CheckInvariants), so they are masked out
+		// rather than probed.
+		req := r.routedTo[o] & r.occ &^ (r.reqVA | used)
 		if req == 0 {
 			continue
 		}
@@ -448,21 +482,17 @@ func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 		if op.full(depth) || op.disabled {
 			continue
 		}
-		ptr := op.saPtr % n
+		ptr := op.saPtr
 		m, base := req>>uint(ptr), ptr
 		for pass := 0; pass < 2; pass, m, base = pass+1, req&(uint64(1)<<uint(ptr)-1), 0 {
 			for ; m != 0; m &= m - 1 {
 				idx := base + bits.TrailingZeros64(m)
-				p, v := idx/r.vcs, idx%r.vcs
-				if inputUsed[p] {
-					continue
-				}
-				ivc := &r.inputs[p][v]
+				ivc := &r.inputs[idx]
 				if ivc.front().readyAt > cycle {
 					continue
 				}
 				// Downstream-facing state (credits, retransmission slots,
-				// parked entries) lives in the VA-allocated output VC, which
+				// parked entries) lives in the allocated output VC, which
 				// differs from the input VC index only across dateline links.
 				ov := int(ivc.outVC)
 				if !op.hasSpace(cfg, ov) {
@@ -486,7 +516,7 @@ func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 				if !op.ejection {
 					op.credits[ov]--
 				}
-				inputUsed[p] = true
+				used |= lane << (uint(ivc.port) * uint(r.vcs))
 				op.saPtr = idx + 1
 				//nocvet:allowalloc bounded: entries is pre-sized to retransCap at construction and hasSpace admits at most that many
 				op.entries = append(op.entries, retransEntry{
@@ -498,8 +528,8 @@ func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 					ivc.allocated = false
 					r.retireRouted(o, uint(idx))
 				}
-				if up := r.ups[p]; up != nil {
-					up.credits[v]++
+				if up := r.ups[ivc.port]; up != nil {
+					up.credits[ivc.vc]++
 				}
 				pass = 2 // one grant per output port per cycle
 				break

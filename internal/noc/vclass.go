@@ -1,5 +1,7 @@
 package noc
 
+import "math/bits"
+
 // Reconfiguration-time dateline reclassification.
 //
 // The per-link VC-class tables built at New assume the topology's minimal
@@ -59,9 +61,11 @@ func ringOf(topo Topology, from, to int) (id int, wrap, ok bool) {
 // still-active trojan. Packets already holding a VC keep the class they
 // were granted; reconfiguration callers purge the wormholes the route
 // change cuts (see reclaim.go), which bounds the mixed-class transient.
-// Only the recovery path (reroute.ApplySafe) calls this; the paper's
-// pinned baselines keep the constructor's minimal-route tables. Reset
-// restores those tables, preserving arena reuse equivalence.
+// A head still waiting for VA holds no VC yet, so the downstream VC that
+// RC resolved for it is resolved again under the new tables. Only the
+// recovery path (reroute.ApplySafe) calls this; the paper's pinned
+// baselines keep the constructor's minimal-route tables. Reset restores
+// those tables, preserving arena reuse equivalence.
 func (n *Network) ReclassifyVCs() {
 	R := len(n.routers)
 	maxRing := -1
@@ -121,6 +125,12 @@ func (n *Network) ReclassifyVCs() {
 				cur = nb
 			}
 			op.vcClass[d] = cl
+		}
+	}
+	for _, r := range n.routers {
+		for m := r.reqVA; m != 0; m &= m - 1 {
+			ivc := &r.inputs[bits.TrailingZeros64(m)]
+			r.resolveOutVC(ivc, int(n.layout.DstOf(ivc.front().f.Payload)))
 		}
 	}
 	n.vcReclassed = true
